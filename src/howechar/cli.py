@@ -47,11 +47,17 @@ PAIR_ALIASES = {
 
 
 def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
 
 
 def _floats(text: str) -> list[float]:
-    return [float(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [float(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
 
 
 def _cvalue(z: complex) -> dict:
@@ -211,6 +217,11 @@ def _theta_like(args, evaluator, warnings):
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "pair", None) is not None:
+        sizes = ("p", "q") if PAIR_ALIASES[args.pair] is PairKind.UU else ("m",)
+        missing = [f"--{s}" for s in sizes if getattr(args, s) is None]
+        if missing:
+            parser.error(f"--pair {args.pair} needs {' and '.join(missing)}")
     warnings: list[str] = []
     try:
         if args.command == "roots":
@@ -317,6 +328,8 @@ def run(argv: list[str]) -> int:
             return 0 if ok else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except HowecharError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

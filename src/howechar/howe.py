@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, NotInCorrespondence
+from .errors import CapExceeded, FormulaInconsistency, NotInCorrespondence
 from .rootsys import (
     ENUMERATION_CAP,
     RootSystem,
@@ -127,13 +127,6 @@ class DualPairSpec:
         return tuple(Fraction(n - a) for a in range(n))
 
     @property
-    def bilinear_scale(self) -> float:
-        """B(x, y) = scale * sum x_k y_k on the torus coordinates."""
-        import math
-
-        return -2 * math.pi if self.kind is PairKind.UH_OSTAR else -math.pi
-
-    @property
     def orientation(self) -> int:
         """Sign relating e_a to the torus angles: h^{e_a} = e^{o * i * theta_a}.
 
@@ -215,7 +208,8 @@ def support_interval(pair: DualPairSpec, cd: CorrespondenceData) -> SupportInter
     b = tuple(-mp - s for mp in cd.mu_prime)
     lo = max((k + 1 for k in range(pair.n) if b[k] >= 1), default=0)
     hi = min((k + 1 for k in range(pair.n) if a[k] >= 1), default=pair.n + 1) - 1
-    assert lo <= hi, f"empty support interval ({lo}, {hi}) for {cd.nu}"
+    if lo > hi:
+        raise FormulaInconsistency(f"empty support interval ({lo}, {hi}) for {cd.nu}")
     return SupportInterval(lo, hi, a, b)
 
 
@@ -246,16 +240,6 @@ def project(pair: DualPairSpec, m: int, theta_prime: Sequence[float]) -> tuple[f
     if len(theta_prime) != pair.rank_gprime:
         raise ValueError("dimension mismatch")
     return tuple(theta_prime[i] for i in embedded_index_set(pair, m))
-
-
-def embed_point(pair: DualPairSpec, m: int, theta: Sequence[float]) -> tuple[float, ...]:
-    """Section of project: place small-torus angles at their embedded slots."""
-    if len(theta) != pair.n:
-        raise ValueError("dimension mismatch")
-    out = [0.0] * pair.rank_gprime
-    for k, pos in enumerate(embedded_index_set(pair, m)):
-        out[pos] = float(theta[k])
-    return tuple(out)
 
 
 def _block_permutations(rank: int, blocks: Sequence[tuple[int, int]], cap: int) -> Iterator[WeylElement]:

@@ -43,16 +43,8 @@ class LaurentSeries:
     def depth(self, exponent: Weight) -> Fraction:
         return weight_dot(exponent, self.chamber)
 
-    def max_depth(self) -> Fraction | None:
-        if not self.terms:
-            return None
-        return max(self.depth(e) for e in self.terms)
-
     def coefficient(self, exponent: Weight) -> Fraction:
         return self.terms.get(tuple(Fraction(c) for c in exponent), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -100,11 +92,6 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     for e, c in b.terms.items():
         out[e] = out.get(e, Fraction(0)) + c
     return series(a.rank, a.chamber, trunc, out)
-
-
-def series_scale(a: LaurentSeries, c) -> LaurentSeries:
-    c = Fraction(c)
-    return series(a.rank, a.chamber, a.truncation, {e: v * c for e, v in a.terms.items()})
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

@@ -10,7 +10,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     FormulaInconsistency,
@@ -55,6 +58,14 @@ class ThetaCharacter:
     interval: SupportInterval
     m: int
 
+    @cached_property
+    def _numerator_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """numerator_terms as a float exponent matrix and coefficient vector."""
+        terms = numerator_terms(self)
+        exps = np.array([[float(c) for c in e] for e in terms], dtype=float)
+        coeffs = np.array([float(c) for c in terms.values()], dtype=float)
+        return exps.reshape(len(terms), self.pair.rank_gprime), coeffs
+
 
 def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> ThetaCharacter:
     """Validate nu, compute the support interval, and fix the embedding index.
@@ -67,7 +78,8 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
     if pair.kind is PairKind.UU:
         s_lo, s_hi = structural_m_range(pair)
         lo, hi = max(interval.lo, s_lo), min(interval.hi, s_hi)
-        assert lo <= hi, f"support interval {interval} misses the embeddable range"
+        if lo > hi:
+            raise FormulaInconsistency(f"support interval {interval} misses the embeddable range")
         if m is None:
             m = hi
         if not lo <= m <= hi:
@@ -126,24 +138,14 @@ def theta_eval(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
 
 
 def theta_numerator_form(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
-    """The triple alternating sum equal to Delta(h) * Theta(h); no poles."""
-    pair = tc.pair
-    if len(theta_prime) != pair.rank_gprime:
+    """Delta(h) * Theta(h) as the polynomial sum_e c_e h^e; no poles.
+
+    The terms come from numerator_terms, compiled once per instance.
+    """
+    if len(theta_prime) != tc.pair.rank_gprime:
         raise ValueError("dimension mismatch")
-    rz = rho_z(pair, tc.m)
-    exponents = _eta_exponents(tc)
-    total = complex(0.0)
-    for tau in kprime_weyl(pair):
-        point = act(tau, theta_prime)
-        pr = project(pair, tc.m, point)
-        eta_part = complex(0.0)
-        for sgn_eta, expo in exponents:
-            eta_part += sgn_eta * eval_monomial(pr, expo)
-        z_part = complex(0.0)
-        for sz in z_weyl(pair, tc.m):
-            z_part += sign(sz) * eval_monomial(point, act(sz, rz))
-        total += sign(tau) * eta_part * z_part
-    return total
+    exps, coeffs = tc._numerator_table
+    return complex(coeffs @ np.exp(1j * (exps @ np.asarray(theta_prime, dtype=float))))
 
 
 def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[float]) -> complex:
@@ -159,10 +161,8 @@ def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[flo
     N = p + q
     if len(theta_prime) != N:
         raise ValueError("dimension mismatch")
-    mu_prime = Fraction(q - p, 2) + lam1
-    expo = Fraction(N, 2) - mu_prime - 1
-    assert expo.denominator == 1
-    expo = int(expo)
+    # N/2 - mu'_1 - 1 with mu'_1 = (q-p)/2 + lam1
+    expo = p - lam1 - 1
     h = [cmath.exp(1j * float(t)) for t in theta_prime]
     prefactor = cmath.exp(0.5j * sum(float(t) for t in theta_prime))
     b_range = range(p) if m == 1 else range(p, N)

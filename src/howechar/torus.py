@@ -22,18 +22,6 @@ TorusPoint = tuple[float, ...]
 REGULARITY_TOL = 1e-9
 
 
-def torus_point(angles: Sequence[float]) -> TorusPoint:
-    pt = tuple(float(a) for a in angles)
-    if any(not math.isfinite(a) for a in pt):
-        raise ValueError("angles must be finite")
-    return pt
-
-
-def canonical_angles(theta: Sequence[float]) -> TorusPoint:
-    """The representative with every angle in [0, 2*pi)."""
-    return tuple(float(a) % (2 * math.pi) for a in theta)
-
-
 def pairing(mu: Weight, theta: Sequence[float]) -> float:
     if len(mu) != len(theta):
         raise ValueError(f"dimension mismatch: {len(mu)} vs {len(theta)}")

@@ -76,7 +76,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     out = Fraction(1)
     for alpha in rs.positive_roots:
         out *= weight_dot(lam_rho, alpha) / weight_dot(r, alpha)
-    assert out.denominator == 1 and out > 0, f"non-integral dimension {out} for {lam}"
+    if out.denominator != 1 or out <= 0:
+        raise ValueError(f"non-integral dimension {out} for {lam}")
     return int(out)
 
 
@@ -126,17 +127,6 @@ def schur_oracle(lam: Sequence[int], x: Sequence, weight_cap: int = SCHUR_WEIGHT
             prev = s
         total = total + term
     return total
-
-
-def character_values_on_grid(rs: RootSystem, lam: Weight, points: np.ndarray) -> np.ndarray:
-    """Vectorized Weyl-formula character values; NaN at singular points."""
-    num = character_numerators_on_grid(rs, lam, points)
-    den = np.ones(points.shape[0], dtype=complex)
-    for alpha in rs.positive_roots:
-        a = np.array([float(c) for c in alpha])
-        den *= 2j * np.sin(points @ a / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return num / den
 
 
 def denominator_sq_on_grid(rs: RootSystem, points: np.ndarray) -> np.ndarray:

@@ -1,315 +1,15 @@
-"""Acceptance suite: one test per criterion, each printing a pass line with
-its stated tolerance.  Run with `pytest -s tests/test_acceptance.py` to see
-the per-criterion lines; all tolerances are pinned here, nothing is
+"""Acceptance suite: one test per entry of howechar.verify.CHECKS at the full
+tier, each printing a pass line with its stated tolerance.  Run with
+`pytest -s tests/test_acceptance.py` to see the per-criterion lines; the
+ranges, seeds and tolerances are pinned in the table, nothing is
 calibrated at runtime."""
 
-import cmath
-import itertools
-import math
-import random
-from fractions import Fraction
+import pytest
 
-import numpy as np
-
-from howechar.howe import (
-    dual_pair,
-    support_interval,
-    validate_weight,
-)
-from howechar.orbits import orbit_integral_oracle, orbit_parameter, rdv_fourier
-from howechar.rootsys import act, build_root_system, rho, sign, weight, weyl_elements
-from howechar.thetachar import (
-    ktype_expansion,
-    theta_character,
-    theta_eval,
-    theta_numerator_form,
-    theta_u1_closed,
-    vandermonde_identity_check,
-)
-from howechar.torus import eval_monomial, random_regular, weyl_denominator
-from howechar.weylchar import (
-    QuadratureGrid,
-    character_numerators_on_grid,
-    schur_oracle,
-    weyl_character,
-    weyl_dimension,
-)
-
-F = Fraction
+from howechar.verify import CHECKS
 
 
-def report(num, text):
-    print(f"\nACCEPTANCE {num}: PASS - {text}")
-
-
-def partitions_padded(max_weight, length):
-    out = []
-
-    def rec(rest, prev, acc):
-        if len(acc) == length:
-            out.append(tuple(acc))
-            return
-        for v in range(min(rest, prev), -1, -1):
-            rec(rest - v, v, acc + [v])
-
-    rec(max_weight, max_weight, [])
-    return out
-
-
-def spread(vals):
-    v = np.array(vals)
-    return float(np.abs(v - v.mean()).max() / max(abs(v.mean()), 1e-300))
-
-
-def test_criterion_1_weyl_character_vs_schur_oracle():
-    rng = random.Random(101)
-    checked = 0
-    for n in (1, 2, 3, 4):
-        rs = build_root_system("A", n)
-        for lam in partitions_padded(6, n):
-            lam_w = weight(*lam)
-            for _ in range(20):
-                theta = random_regular(rs, rng, 5e-2)
-                x = [cmath.exp(1j * t) for t in theta]
-                a = weyl_character(rs, lam_w, theta)
-                b = schur_oracle(lam, x)
-                assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (n, lam, theta)
-                checked += 1
-    report(1, f"weyl_character == schur_oracle at {checked} points (n <= 4, |lam| <= 6, rel 1e-10)")
-
-
-def test_criterion_2_dimension_integrality_and_oracle_equality():
-    checked = 0
-    for n in (1, 2, 3, 4):
-        rs = build_root_system("A", n)
-        for lam in partitions_padded(6, n):
-            dim = weyl_dimension(rs, weight(*lam))
-            count = schur_oracle(lam, [1] * n)
-            assert dim == count, (n, lam, dim, count)
-            checked += 1
-    report(2, f"weyl_dimension == Gelfand-Tsetlin pattern count for {checked} weights, exactly")
-
-
-def test_criterion_3_character_orthogonality():
-    for n in (1, 2, 3):
-        rs = build_root_system("A", n)
-        grid = QuadratureGrid(64, n)
-        pts = grid.points()
-        lams = partitions_padded(4, n)
-        # chi_a conj(chi_b) |Delta|^2 == A_a conj(A_b) pointwise, so the
-        # uniform average of numerator products is the quadrature value
-        nums = np.stack([character_numerators_on_grid(rs, weight(*lam), pts) for lam in lams])
-        gram = nums @ nums.conj().T / pts.shape[0] / math.factorial(n)
-        target = np.eye(len(lams))
-        assert np.abs(gram - target).max() <= 1e-8, (n, np.abs(gram - target).max())
-    report(3, "torus_inner_product Gram matrix == identity for |lam| <= 4, n <= 3, N = 64 (1e-8)")
-
-
-def test_criterion_4_partial_fraction_identity_deterministic():
-    checked = 0
-    for total in range(2, 9):
-        for p in range(1, total):
-            q = total - p
-            for k in range(0, total - 1):
-                verdict = vandermonde_identity_check(p, q, k, mode="deterministic-grid")
-                assert verdict.status == "proved", (p, q, k, verdict)
-                checked += 1
-    report(4, f"identity proved deterministically for all p+q <= 8, k in range ({checked} cases, exact)")
-
-
-def test_criterion_5_m_independence():
-    rng = random.Random(105)
-    measured = []
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            pair = dual_pair("uu", 1, p=p, q=q)
-            for lam1 in range(-q + 1, p):
-                nu = [F(q - p, 2) + lam1]
-                tc0 = theta_character(pair, nu, m=0)
-                tc1 = theta_character(pair, nu, m=1)
-                ratios = []
-                for _ in range(10):
-                    th = random_regular(pair.rs_gprime, rng, 5e-2)
-                    ratios.append(theta_eval(tc0, th) / theta_eval(tc1, th))
-                assert spread(ratios) <= 1e-9, (p, q, lam1)
-                measured.append((p, q, lam1, complex(np.mean(ratios))))
-    # (p, q) = (1, 1): the measured ratio equals the -1 of the B.2 identity
-    # combined with the (-1)^{p+q-1} reorientation of the m=0 denominators,
-    # after the (p-1)!q! vs p!(q-1)! factors
-    ones = [r for (p, q, lam1, r) in measured if (p, q) == (1, 1)]
-    predicted = (-1) ** 2 * math.factorial(1) * math.factorial(0) / (math.factorial(0) * math.factorial(1))
-    for r in ones:
-        assert abs(r - predicted) <= 1e-9
-    lines = ", ".join(f"(p={p},q={q},l={l}): {r:.3g}" for p, q, l, r in measured)
-    report(5, f"theta(m=0)/theta(m=1) constant (spread <= 1e-9); measured ratios {lines}")
-
-
-def test_criterion_6_closed_form_agreement():
-    rng = random.Random(106)
-    checked = 0
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            pair = dual_pair("uu", 1, p=p, q=q)
-            for lam1 in range(-q - 1, p + 2):
-                nu = [F(q - p, 2) + lam1]
-                tc = theta_character(pair, nu)
-                ratios = []
-                for _ in range(10):
-                    th = random_regular(pair.rs_gprime, rng, 5e-2)
-                    ratios.append(theta_u1_closed(p, q, lam1, tc.m, th) / theta_eval(tc, th))
-                assert spread(ratios) <= 1e-9, (p, q, lam1)
-                checked += 1
-    report(6, f"theta_eval == closed forms up to one constant per instance ({checked} instances, 1e-9)")
-
-
-def test_criterion_7_corollary_consistency():
-    rng = random.Random(107)
-    cases = []
-    for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
-        for n in (1, 2):
-            if n > p + q:
-                continue
-            shift = F(q - p, 2)
-            nu = [shift + (1 - i) for i in range(n)]
-            cases.append((dual_pair("uu", n, p=p, q=q), nu))
-    cases += [
-        (dual_pair("oeven-sp", 2, m=3), [2, 0]),
-        (dual_pair("oodd-sp", 2, m=3), [1, 0]),
-        (dual_pair("uh-ostar", 2, m=3), [1, 1]),
-    ]
-    for pair, nu in cases:
-        tc = theta_character(pair, nu)
-        ratios = []
-        for _ in range(10):
-            th = random_regular(pair.rs_gprime, rng, 5e-2)
-            ratios.append(
-                theta_numerator_form(tc, th) / (weyl_denominator(pair.rs_gprime, th) * theta_eval(tc, th))
-            )
-        assert spread(ratios) <= 1e-9, (pair.kind, nu, ratios)
-    report(7, f"numerator form / (Delta * theta) constant for {len(cases)} instances (spread <= 1e-9)")
-
-
-def test_criterion_8_support_tables():
-    # rank-one case table for all lam1 in [-q-2, p+2], p, q <= 4
-    for p in range(1, 5):
-        for q in range(1, 5):
-            pair = dual_pair("uu", 1, p=p, q=q)
-            for lam1 in range(-q - 2, p + 3):
-                iv = support_interval(pair, validate_weight(pair, [F(q - p, 2) + lam1]))
-                if lam1 <= -q:
-                    expected = (1, 1)
-                elif lam1 >= p:
-                    expected = (0, 0)
-                else:
-                    expected = (0, 1)
-                assert (iv.lo, iv.hi) == expected, (p, q, lam1, iv)
-    # 20 enumerated instances for the Sp pairs, checked against inline a/b
-    checked = 0
-    for kind, shift_fn in (
-        ("oeven-sp", lambda n, m: F(m - n)),
-        ("oodd-sp", lambda n, m: F(m - n) - F(1, 2)),
-    ):
-        for n, m in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
-            pair = dual_pair(kind, n, m=m)
-            for nu in itertools.islice(
-                (nu for nu in itertools.product(range(4), repeat=n) if all(a >= b for a, b in zip(nu, nu[1:]))), 2
-            ):
-                cd = validate_weight(pair, list(nu))
-                iv = support_interval(pair, cd)
-                s = shift_fn(n, m)
-                a = [mp - s for mp in cd.mu_prime]
-                b = [-mp - s for mp in cd.mu_prime]
-                lo = max((k + 1 for k in range(n) if b[k] >= 1), default=0)
-                hi = min((k + 1 for k in range(n) if a[k] >= 1), default=n + 1) - 1
-                assert (iv.lo, iv.hi) == (lo, hi), (kind, n, m, nu)
-                assert iv.a == tuple(a) and iv.b == tuple(b)
-                checked += 1
-    assert checked == 20
-    report(8, "support intervals match the rank-one case table (p,q <= 4) and 20 hand-checked Sp instances")
-
-
-def test_criterion_9_rdv_vs_oracles():
-    rng = random.Random(109)
-    for n in (2, 3):
-        rs = build_root_system("A", n)
-        for _ in range(20):
-            lam = []
-            while len(set(lam)) != n:
-                lam = [rng.randint(-6, 6) for _ in range(n)]
-            x = [rng.uniform(-3, 3) for _ in range(n)]
-            while min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)) < 0.15:
-                x = [rng.uniform(-3, 3) for _ in range(n)]
-            op = orbit_parameter(rs, rs, lam)
-            a = rdv_fourier(rs, rs, op, x)
-            b = orbit_integral_oracle(n, lam, x, method="hciz").value
-            assert abs(a - b) <= 1e-10 * abs(b), (n, lam, x)
-    zs = []
-    for n, lam, x in ((2, [1, 0], [1.0, -0.5]), (3, [2, 1, -1], [1.2, 0.3, -0.9])):
-        rs = build_root_system("A", n)
-        est = orbit_integral_oracle(n, lam, x, n_samples=10**6, seed=1109, method="mc")
-        truth = rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
-        z = abs(est.value - truth) / est.stderr
-        assert z <= 3.0, (n, lam, x, z)
-        zs.append(z)
-    report(9, f"rdv == HCIZ (40 draws, rel 1e-10); Monte-Carlo z-scores {[f'{z:.2f}' for z in zs]} at 1e6 samples")
-
-
-def test_criterion_10_ktype_expansion_sanity():
-    pair = dual_pair("uu", 1, p=1, q=1)
-    for lam1 in range(-3, 4):
-        tc = theta_character(pair, [lam1])
-        kt = ktype_expansion(tc, depth=20)
-        assert all(isinstance(v, int) and v >= 0 for v in kt.values())
-        assert next(iter(kt.values())) == 1
-        # independent rank-one oracle: the single inverse factor is the
-        # geometric series 1/(1 - h^{-beta}) shifted by the lowest weight
-        mu_p = F(lam1)
-        if tc.m == 1:
-            expected = [(-mu_p - F(1, 2) - k, F(1, 2) + k) for k in range(21)]
-        else:
-            expected = [(-F(1, 2) - k, -mu_p + F(1, 2) + k) for k in range(21)]
-        assert list(kt) == expected and set(kt.values()) == {1}, lam1
-    for kind, sizes, nu in (
-        ("oeven-sp", dict(m=2), (2,)),
-        ("oodd-sp", dict(m=1), (1,)),
-        ("uh-ostar", dict(m=2), (1,)),
-    ):
-        tc = theta_character(dual_pair(kind, 1, **sizes), nu)
-        kt = ktype_expansion(tc, depth=20)
-        assert next(iter(kt.values())) == 1
-        assert all(isinstance(v, int) and v >= 0 for v in kt.values())
-    report(10, "K-type multiplicities nonneg integers, minimal type multiplicity 1; rank-one ladder exact")
-
-
-def test_criterion_11_weyl_denominator_identity():
-    rng = random.Random(111)
-    from howechar.howe import z_subsystem, z_weyl
-
-    subsystems = [
-        (dual_pair("uu", 2, p=2, q=2), 1),
-        (dual_pair("uu", 2, p=2, q=2), 2),
-        (dual_pair("oeven-sp", 1, m=2), 1),
-        (dual_pair("oodd-sp", 1, m=3), 1),
-        (dual_pair("uh-ostar", 1, m=3), 1),
-    ]
-    for pair, m in subsystems:
-        m_eff = m if pair.kind.value == "uu" else pair.n
-        sub = z_subsystem(pair, m_eff)
-        rz = rho(sub)
-        group = list(z_weyl(pair, m_eff))
-        for _ in range(50):
-            th = tuple(rng.uniform(0.05, 2 * math.pi - 0.05) for _ in range(pair.rank_gprime))
-            lhs = weyl_denominator(sub, th)
-            rhs = sum(sign(w) * eval_monomial(th, act(w, rz)) for w in group)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), (pair.kind, m)
-    # the same identity for full systems through their own Weyl groups
-    for family, rank in (("A", 3), ("B", 2), ("C", 2), ("D", 3)):
-        rs = build_root_system(family, rank)
-        r = rho(rs)
-        group = list(weyl_elements(rs))
-        for _ in range(50):
-            th = tuple(rng.uniform(0.05, 2 * math.pi - 0.05) for _ in range(rank))
-            lhs = weyl_denominator(rs, th)
-            rhs = sum(sign(w) * eval_monomial(th, act(w, r)) for w in group)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), (family, rank)
-    report(11, "product form == alternating sum for 9 subsystems at 50 points each (1e-10)")
+@pytest.mark.parametrize("check", CHECKS, ids=[c.label for c in CHECKS])
+def test_criterion(check):
+    detail = check.fn(quick=False)
+    print(f"\nACCEPTANCE {check.label}: PASS - {detail}")

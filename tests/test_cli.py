@@ -45,11 +45,24 @@ def test_domain_error_exit_code_and_name():
     out = capture(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0,1", "--theta", "1,2"])
     assert out.returncode == 1
     assert "NotInCorrespondence" in out.stderr
+    # a non-integral dimension is refused even with asserts compiled out
+    argv = [sys.executable, "-O", "-m", "howechar.cli", "dim", "--family", "A", "--rank", "2", "--weight", "1/2,0"]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    assert out.returncode == 1 and "ValueError" in out.stderr
 
 
 def test_parse_error_exit_code():
-    out = capture(["theta", "--pair", "nope", "--n", "1", "--nu", "0"])
-    assert out.returncode == 2
+    uu = ["--pair", "uu", "--n", "1", "--p", "1", "--q", "1"]
+    for argv in (
+        ["theta", "--pair", "nope", "--n", "1", "--nu", "0"],
+        ["theta", *uu, "--nu", "abc", "--theta", "1,2"],
+        ["dim", "--family", "A", "--rank", "2", "--weight", "x"],
+        ["theta", *uu, "--nu", "0", "--theta", "1,x"],
+        ["theta", "--pair", "uu", "--n", "1", "--nu", "0", "--theta", "1,2"],
+        ["support", "--pair", "oeven", "--n", "1", "--nu", "1"],
+    ):
+        out = capture(argv)
+        assert out.returncode == 2, (argv, out.stderr)
 
 
 def test_singular_point_domain_error():

@@ -160,19 +160,6 @@ def test_numerator_form_finite_at_singular_points():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
-def test_numerator_terms_match_pointwise_evaluation():
-    from howechar.torus import eval_monomial
-
-    rng = random.Random(26)
-    for pair, nu in ((dual_pair("uu", 2, p=2, q=1), [F("1/2"), F("-1/2")]), (dual_pair("oeven-sp", 1, m=2), [1])):
-        tc = theta_character(pair, nu)
-        terms = numerator_terms(tc)
-        for _ in range(5):
-            th = random_regular(pair.rs_gprime, rng, 5e-2)
-            series_val = sum(complex(c) * eval_monomial(th, e) for e, c in terms.items())
-            assert abs(series_val - theta_numerator_form(tc, th)) < 1e-10
-
-
 def test_u1_closed_m_relation_at_p_q_one():
     # theta(m=0)/theta(m=1) carries the sign from the partial-fraction
     # identity times the reorientation of the m=0 denominators

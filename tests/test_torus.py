@@ -5,7 +5,6 @@ import pytest
 
 from howechar.rootsys import build_root_system, weight
 from howechar.torus import (
-    canonical_angles,
     eval_monomial,
     is_regular,
     random_regular,
@@ -70,8 +69,7 @@ def test_is_regular():
         is_regular(a2, (1.0, 2.0), tol=0.0)
 
 
-def test_canonical_angles_and_sampling():
-    assert canonical_angles((-math.pi / 2,)) == (3 * math.pi / 2,)
+def test_random_regular_sampling():
     rng = random.Random(4)
     c2 = build_root_system("C", 2)
     for _ in range(5):
