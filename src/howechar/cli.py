@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 domain error (error class name on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -116,6 +117,7 @@ def _add_pair_options(sp) -> None:
     sp.add_argument("--nu", required=True, help="comma-separated rationals, e.g. '3/2,-1/2'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="howechar", description=__doc__)
     parser.add_argument("--format", choices=("json", "table"), default="json")

@@ -28,6 +28,7 @@ from .rootsys import (
     Weight,
     WeylElement,
     build_root_system,
+    rho,
     weight_add,
 )
 
@@ -340,11 +341,7 @@ def vanishing_positive_roots(pair: DualPairSpec, m: int) -> tuple[Weight, ...]:
 
 def rho_z(pair: DualPairSpec, m: int) -> Weight:
     """Half-sum of the positive roots vanishing on the embedded torus."""
-    acc = [Fraction(0)] * pair.rank_gprime
-    for alpha in vanishing_positive_roots(pair, m):
-        for k, c in enumerate(alpha):
-            acc[k] += c
-    return tuple(c / 2 for c in acc)
+    return rho(z_subsystem(pair, m))
 
 
 def z_weyl(pair: DualPairSpec, m: int, cap: int = ENUMERATION_CAP) -> Iterator[WeylElement]:

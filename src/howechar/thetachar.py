@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .howe import (
     embedded_index_set,
     eta_cosets,
     kprime_weyl,
-    kprime_weyl_order,
     project,
     rho_z,
     structural_m_range,
@@ -45,7 +44,7 @@ from .laurent import (
     series,
     series_mul,
 )
-from .rootsys import Weight, WeylElement, act, inverse, perm_sign, sign, weight_dot
+from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign, weight_dot
 from .torus import eval_monomial, is_regular
 
 SINGULAR_GUARD = 1e-9
@@ -59,9 +58,14 @@ class ThetaCharacter:
     m: int
 
     @cached_property
+    def numerator(self) -> dict[Weight, Fraction]:
+        """numerator_terms, compiled once per instance."""
+        return numerator_terms(self)
+
+    @cached_property
     def _numerator_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """numerator_terms as a float exponent matrix and coefficient vector."""
-        terms = numerator_terms(self)
+        """The numerator as a float exponent matrix and coefficient vector."""
+        terms = self.numerator
         exps = np.array([[float(c) for c in e] for e in terms], dtype=float)
         coeffs = np.array([float(c) for c in terms.values()], dtype=float)
         return exps.reshape(len(terms), self.pair.rank_gprime), coeffs
@@ -186,27 +190,16 @@ class IdentityVerdict:
     detail: str
 
 
-def _vandermonde_omit(values: Sequence[int], omit: int) -> int:
-    out = 1
-    for a in range(len(values)):
-        if a == omit:
-            continue
-        for c in range(a + 1, len(values)):
-            if c == omit:
-                continue
-            out *= values[a] - values[c]
-    return out
-
-
+@cache
 def _identity_polynomial_coefficients(N: int, k: int) -> dict[tuple[int, ...], int]:
     """Exponent -> coefficient of sum_b (-1)^{b-1} h_b^k V_b(h), via Leibniz.
 
     V_b is the Vandermonde product over the variables other than b, expanded
     as a determinant: V_b = sum over permutations pi of sgn(pi) * prod_i
     x_i^{M-1-pi(i)} with M = N-1.  The full polynomial is the asserted
-    identity times the total Vandermonde; per-variable degree is below N-1,
-    so vanishing of every coefficient is equivalent to vanishing on any
-    N-per-axis product grid.
+    identity times the total Vandermonde, so the identity holds exactly when
+    every coefficient cancels.  The result depends on N = p+q only, so it is
+    memoised.
     """
     M = N - 1
     coeffs: dict[tuple[int, ...], int] = {}
@@ -259,14 +252,6 @@ def vandermonde_identity_check(
         return IdentityVerdict("holds", f"exact at {n_points} random rational points")
     if mode != "deterministic-grid":
         raise ValueError(f"unknown mode {mode!r}")
-    if N <= 5:
-        for point in itertools.product(range(1, N + 1), repeat=N):
-            total = 0
-            for b in range(N):
-                total += (-1) ** b * point[b] ** k * _vandermonde_omit(point, b)
-            if total != 0:
-                return IdentityVerdict("failed", f"nonzero value {total} at grid point {point}")
-        return IdentityVerdict("proved", f"zero on the full {N}^{N} grid")
     leftover = _identity_polynomial_coefficients(N, k)
     if leftover:
         return IdentityVerdict("failed", f"{len(leftover)} surviving coefficients")
@@ -284,35 +269,40 @@ def noncompact_positive_roots(pair: DualPairSpec) -> tuple[Weight, ...]:
 
 
 def compact_rho(pair: DualPairSpec) -> Weight:
-    acc = [Fraction(0)] * pair.rank_gprime
-    for alpha in pair.rs_gprime.compact_positive_roots:
-        for i, c in enumerate(alpha):
-            acc[i] += c
-    return tuple(c / 2 for c in acc)
+    rs = pair.rs_gprime
+    return rho(RootSystem("A", rs.rank, rs.compact_positive_roots))
 
 
 def numerator_terms(tc: ThetaCharacter) -> dict[Weight, Fraction]:
-    """Exponent -> coefficient of the triple-sum numerator polynomial."""
+    """Exponent -> coefficient of the triple-sum numerator polynomial.
+
+    Each (eta, z) pair contributes the W(K')-alternating sum over the orbit
+    of u = base_eta + z(rho_z).  That sum is zero when u repeats a value
+    inside a K' block, and otherwise sign(tau) times the sum over the
+    block-sorted v with act(tau, v) == u; so the signs are collected per v
+    and each nonzero orbit is expanded once.
+    """
     pair = tc.pair
     N = pair.rank_gprime
     S = embedded_index_set(pair, tc.m)
     rz = rho_z(pair, tc.m)
-    exponents = _eta_exponents(tc)
     z_parts = [(sign(sz), act(sz, rz)) for sz in z_weyl(pair, tc.m)]
+    orbits: dict[Weight, int] = {}
+    for sgn_eta, expo in _eta_exponents(tc):
+        base = [Fraction(0)] * N
+        for key, c in zip(S, expo):
+            base[key] = c
+        for sgn_z, w in z_parts:
+            u = tuple(b + c for b, c in zip(base, w))
+            if any(len(set(u[start:stop])) < stop - start for start, stop in pair.kprime_blocks):
+                continue
+            v, tau = _block_sorted(pair, u)
+            orbits[v] = orbits.get(v, 0) + sgn_eta * sgn_z * sign(tau)
     out: dict[Weight, Fraction] = {}
-    for tau in kprime_weyl(pair):
-        sgn_tau = sign(tau)
-        for sgn_eta, expo in exponents:
-            base = [Fraction(0)] * N
-            for key, c in zip(S, expo):
-                base[tau.perm[key]] += c
-            for sgn_z, w in z_parts:
-                e = list(base)
-                for i, c in enumerate(w):
-                    e[tau.perm[i]] += c
-                key2 = tuple(e)
-                out[key2] = out.get(key2, Fraction(0)) + sgn_tau * sgn_eta * sgn_z
-    return {e: c for e, c in out.items() if c != 0}
+    for v, c in orbits.items():
+        if c:
+            out.update(_alternating_orbit_terms(pair, v, Fraction(c)))
+    return out
 
 
 def _alternating_orbit_terms(pair: DualPairSpec, v: Weight, coeff: Fraction) -> dict[Weight, Fraction]:
@@ -336,7 +326,7 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
     pair = tc.pair
     N = pair.rank_gprime
     chamber = dominant_chamber(N)
-    raw = numerator_terms(tc)
+    raw = tc.numerator
     if not raw:
         raise FormulaInconsistency("empty numerator polynomial")
     pairs = [weight_dot(e, chamber) for e in raw]
@@ -354,7 +344,7 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
 def series_top_pairing(tc: ThetaCharacter) -> Fraction:
     """Chamber pairing of the leading term of the character series."""
     chamber = dominant_chamber(tc.pair.rank_gprime)
-    raw = numerator_terms(tc)
+    raw = tc.numerator
     lead = sum(-weight_dot(b, chamber) / 2 for b in noncompact_positive_roots(tc.pair))
     return max(weight_dot(e, chamber) for e in raw) + lead
 
@@ -379,75 +369,61 @@ def _block_sorted(pair: DualPairSpec, e: Weight) -> tuple[Weight, WeylElement]:
 def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     """Multiplicities of the K'-types appearing down to the chamber depth.
 
-    The series is peeled orbit by orbit: the top term of each remaining
-    alternating orbit is its dominant (block-decreasing) member, whose
-    coefficient is C * m(gamma); everything is normalized so the first
-    (minimal) K-type has multiplicity 1.  Non-integral or negative
-    multiplicities raise FormulaInconsistency.
+    The series is W(K')-alternating, so each orbit is read off its dominant
+    (block-decreasing) member, whose coefficient is C * m(gamma) at
+    gamma + rho_0; every other term must be sign(tau) times the coefficient
+    of its block-sorted member.  Multiplicities are normalized so the first
+    (minimal) K-type has multiplicity 1.  A term that breaks the alternation
+    and a non-integral or negative multiplicity raise FormulaInconsistency.
     """
     pair = tc.pair
     chamber = dominant_chamber(pair.rank_gprime)
-    rho0 = compact_rho(pair)
-    top = series_top_pairing(tc)
-    floor = top - depth
+    floor = series_top_pairing(tc) - depth
     S = character_series(tc, floor - 1)
-    terms = dict(S.terms)
-    found: list[tuple[Weight, Fraction]] = []
-    while True:
-        live = [(weight_dot(e, chamber), e) for e in terms]
-        live = [(d, e) for d, e in live if d >= floor]
-        if not live:
-            break
-        d, e = max(live, key=lambda t: (t[0], t[1]))
-        coeff = terms[e]
+    dominant: list[tuple[Fraction, Weight]] = []
+    for e, c in S.terms.items():
+        d = weight_dot(e, chamber)
+        if d < floor:
+            continue
         v, tau = _block_sorted(pair, e)
-        if v != e:
-            raise FormulaInconsistency(f"top term {e} is not K'-dominant")
-        for oe, oc in _alternating_orbit_terms(pair, v, coeff).items():
-            if weight_dot(oe, chamber) < -S.truncation:
-                continue
-            new = terms.get(oe, Fraction(0)) - oc
-            if new == 0:
-                terms.pop(oe, None)
-            else:
-                terms[oe] = new
-        gamma = tuple(x - y for x, y in zip(v, rho0))
-        found.append((gamma, coeff))
-    if not found:
+        if v == e:
+            dominant.append((d, e))
+        elif sign(tau) * S.terms.get(v, 0) != c:
+            raise FormulaInconsistency(f"term {e} breaks the W(K') alternation of {v}")
+    if not dominant:
         raise FormulaInconsistency("no K-types found above the requested depth")
-    C = found[0][1]
+    dominant.sort(reverse=True)
+    rho0 = compact_rho(pair)
+    C = S.terms[dominant[0][1]]
     result: dict[Weight, int] = {}
-    for gamma, mc in found:
-        mult = mc / C
+    for _, v in dominant:
+        mult = S.terms[v] / C
+        gamma = tuple(x - y for x, y in zip(v, rho0))
         if mult.denominator != 1 or mult < 0:
             raise FormulaInconsistency(f"multiplicity {mult} for K-type {gamma}")
-        if mult != 0:
-            result[gamma] = int(mult)
+        result[gamma] = int(mult)
     return result
 
 
-def _constant_inverse_at(tc: ThetaCharacter, lam: Weight, depth: Fraction) -> Fraction:
-    pair = tc.pair
-    chamber = dominant_chamber(pair.rank_gprime)
-    rho0 = compact_rho(pair)
-    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, rho0))
-    orbit = _alternating_orbit_terms(pair, tuple(-c for c in lam_rho), Fraction(1))
+def _coefficient_at(tc: ThetaCharacter, v: Weight, depth: int) -> Fraction:
     S = character_series(tc, -depth)
-    const = Fraction(0)
-    for e2, c2 in orbit.items():
-        c1 = S.terms.get(tuple(-x for x in e2))
-        if c1 is not None:
-            const += c1 * c2
-    return const / kprime_weyl_order(pair)
+    level = S.depth(v)
+    if level < -S.truncation:
+        raise TruncationTooSmall(
+            f"({', '.join(map(str, v))}) at level {level} is below the series truncation {-S.truncation}; raise the depth"
+        )
+    return S.coefficient(v)
 
 
 def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence, depth: int = 40) -> Fraction:
     """C with C * theta_eval-normalization carrying the minimal K-type once.
 
-    Computed as constant-term extraction of (P/Delta_+) against the
-    alternating sum sum_sigma sign(sigma) h^{-sigma(lam+rho_0)}, divided by
-    |W(K')|; the caller's lam_min must be the minimal K-type.  The
-    coefficient must agree between depth and depth+5 and be nonzero.
+    The character series is W(K')-alternating, so the minimal K-type's
+    orbit is read off its dominant member: C is the inverse of the series
+    coefficient at lam_min + rho_0, and the caller's lam_min must be the
+    minimal K-type.  The coefficient must agree between depth and depth+5
+    and be nonzero; one below the series truncation is unknown, not zero,
+    and raises TruncationTooSmall.
     """
     lam = tuple(Fraction(v) for v in lam_min)
     if len(lam) != tc.pair.rank_gprime:
@@ -455,8 +431,9 @@ def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence, depth: int = 40)
     for start, stop in tc.pair.kprime_blocks:
         if any(lam[i] < lam[i + 1] for i in range(start, stop - 1)):
             raise ValueError(f"{lam} is not dominant for K'")
-    c1 = _constant_inverse_at(tc, lam, Fraction(depth))
-    c2 = _constant_inverse_at(tc, lam, Fraction(depth + 5))
+    v = tuple(a + b for a, b in zip(lam, compact_rho(tc.pair)))
+    c1 = _coefficient_at(tc, v, depth)
+    c2 = _coefficient_at(tc, v, depth + 5)
     if c1 != c2:
         raise TruncationTooSmall(f"coefficient moved from {c1} to {c2}; raise the depth")
     if c1 == 0:

@@ -142,6 +142,8 @@ def test_numerator_form_matches_denominator_times_theta():
         (dual_pair("oeven-sp", 2, m=3), [2, 0]),
         (dual_pair("oodd-sp", 2, m=2), [1, 1]),
         (dual_pair("uh-ostar", 2, m=3), [2, 1]),
+        (dual_pair("uu", 2, p=4, q=3), [F("-1/2"), F("-1/2")]),
+        (dual_pair("oeven-sp", 3, m=5), [1, 0, 0]),
     ]
     for pair, nu in cases:
         tc = theta_character(pair, nu)
@@ -192,14 +194,17 @@ def test_vandermonde_identity_random_rational_full_sweep():
                 assert out.status == "holds", (p, q, k, out)
 
 
-def test_vandermonde_identity_grid_and_coefficient_paths_agree():
-    # both deterministic strategies cover total size 6 (grid <= 5 literal,
-    # Leibniz beyond); spot-check they agree where both apply
+def test_vandermonde_identity_leibniz_coefficients():
+    # the one deterministic path: every Leibniz coefficient cancels inside
+    # the asserted range, for every p at the same N = p+q
     from howechar.thetachar import _identity_polynomial_coefficients
 
-    for N, k in ((3, 1), (4, 2), (5, 0)):
+    for N, k in ((2, 0), (3, 1), (4, 2), (5, 0)):
         assert not _identity_polynomial_coefficients(N, k)
     assert _identity_polynomial_coefficients(3, 2)  # k = N-1 genuinely fails
+    for p in range(1, 5):
+        out = vandermonde_identity_check(p, 5 - p, 3, mode="deterministic-grid")
+        assert (out.status, out.detail) == ("proved", "all Leibniz coefficients cancel (degree-bounded polynomial)")
 
 
 def test_ktype_ladder_uu111():
@@ -297,6 +302,70 @@ def test_normalizing_constant_truncation_guard():
     deep = list(ktype_expansion(tc, depth=14))[-1]
     with pytest.raises((TruncationTooSmall, NotMinimalKType)):
         normalizing_constant(tc, deep, depth=10)
+
+
+def test_normalizing_constant_reads_the_whole_orbit():
+    # the coefficient at lam_min + rho_0 carries the whole alternating
+    # orbit; the shallowest depths cut lower orbit members off the series
+    tc = theta_character(dual_pair("uh-ostar", 2, m=3), [1, 1])
+    lam_min = weight(-2, -3, -3)
+    assert next(iter(ktype_expansion(tc, depth=4))) == lam_min
+    for depth in (2, 7, 16):
+        assert normalizing_constant(tc, lam_min, depth=depth) == 1
+    tc = theta_character(dual_pair("uh-ostar", 1, m=3), [2])
+    lam_min = next(iter(ktype_expansion(tc, depth=4)))
+    assert normalizing_constant(tc, lam_min, depth=0) == F(1, 2)
+
+
+def test_normalizing_constant_below_series_truncation_is_too_small():
+    # lam_min + rho_0 = (-3, -5) sits at chamber level -11, below the
+    # depth-2 series' truncation: its coefficient is unknown, not zero
+    tc = theta_character(dual_pair("oodd-sp", 2, m=2), [2, 1])
+    lam_min = weight("-7/2", "-9/2")
+    with pytest.raises(TruncationTooSmall):
+        normalizing_constant(tc, lam_min, depth=2)
+    assert normalizing_constant(tc, lam_min, depth=12) != 0
+
+
+def test_constant_op_compiles_the_numerator_once(monkeypatch, capsys):
+    from howechar import thetachar as tmod
+    from howechar.cli import run
+
+    calls = []
+    original = tmod.numerator_terms
+
+    def counted(tc):
+        calls.append(tc)
+        return original(tc)
+
+    monkeypatch.setattr(tmod, "numerator_terms", counted)
+    assert run(["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_ktype_expansion_rejects_a_broken_alternation(monkeypatch):
+    # flipping the sign of one non-dominant term leaves an orbit that is
+    # not W(K')-alternating; the expansion must refuse it
+    from howechar import thetachar as tmod
+    from howechar.laurent import LaurentSeries
+    from howechar.rootsys import weight_dot
+
+    tc = theta_character(dual_pair("uu", 1, p=2, q=1), [F("1/2")])
+    assert ktype_expansion(tc, depth=10)
+    original = tmod.character_series
+
+    def flipped(tc, exact_to):
+        S = original(tc, exact_to)
+        off = [e for e in S.terms if tmod._block_sorted(tc.pair, e)[0] != e]
+        e = max(off, key=lambda e: weight_dot(e, S.chamber))
+        terms = dict(S.terms)
+        terms[e] = -terms[e]
+        return LaurentSeries(S.rank, S.chamber, S.truncation, terms)
+
+    monkeypatch.setattr(tmod, "character_series", flipped)
+    with pytest.raises(FormulaInconsistency, match="alternation"):
+        ktype_expansion(tc, depth=10)
 
 
 def test_character_series_times_noncompact_factors_recovers_numerator():
