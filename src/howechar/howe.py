@@ -150,6 +150,9 @@ def dual_pair(kind: PairKind | str, n: int, p: int | None = None, q: int | None 
         return DualPairSpec(kind, n, p=p, q=q)
     if m is None or m < 1:
         raise ValueError(f"{kind.value} needs m >= 1")
+    if kind is PairKind.UH_OSTAR and m < 2:
+        # O*(2) is of type D_1, which has no roots
+        raise ValueError("uh-ostar needs m >= 2")
     if n > m:
         raise ValueError(f"rank condition n <= m violated: {n} > {m}")
     return DualPairSpec(kind, n, m=m)

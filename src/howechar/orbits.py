@@ -169,35 +169,25 @@ def orbit_integral_oracle(
         return OracleEstimate(scale * hciz_mean(lam_f, x), None, "hciz")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    Lam = np.diag(lam_f).astype(complex)
-    xdiag = np.array(x)
-    rng = np.random.default_rng(seed)
+    lam_v, xdiag = np.array(lam_f), np.array(x)
+    # fixed-size chunks, chunk i drawn from the i-th child seed, so the
+    # samples do not depend on how many workers share the chunks
+    counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
+    seeds = np.random.SeedSequence(seed).spawn(len(counts))
+
+    def run_batch(count: int, ss: np.random.SeedSequence) -> np.ndarray:
+        u = haar_unitaries(n, count, np.random.default_rng(ss))
+        # diag(U diag(lam) U*) = |U|^2 lam
+        return np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
+
     workers = _max_workers()
-
-    def run_batch(count: int, r: np.random.Generator) -> np.ndarray:
-        u = haar_unitaries(n, count, r)
-        diag = np.einsum("bij,jk,bik->bi", u, Lam, np.conj(u))
-        return np.exp(1j * diag.real @ xdiag)
-
-    samples: list[np.ndarray] = []
-    remaining = n_samples
     if workers == 1:
-        while remaining > 0:
-            c = min(batch, remaining)
-            samples.append(run_batch(c, rng))
-            remaining -= c
+        samples = list(map(run_batch, counts, seeds))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        streams = rng.spawn(workers)
-        shares = [n_samples // workers] * workers
-        shares[0] += n_samples - sum(shares)
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = []
-            for share, stream in zip(shares, streams):
-                futures.append(ex.submit(lambda s, r: [run_batch(min(batch, s - i), r) for i in range(0, s, batch)], share, stream))
-            for f in futures:
-                samples.extend(f.result())
+            samples = list(ex.map(run_batch, counts, seeds))
     vals = np.concatenate(samples)
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).mean() / len(vals)))

@@ -36,14 +36,7 @@ from .howe import (
     validate_weight,
     z_weyl,
 )
-from .laurent import (
-    LaurentSeries,
-    dominant_chamber,
-    expand_inverse_root_factor,
-    partial_fraction_sum,
-    series,
-    series_mul,
-)
+from .laurent import LaurentSeries, divide_by_root_factors, dominant_chamber, partial_fraction_sum
 from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign, weight_dot
 from .torus import eval_monomial, is_regular
 
@@ -334,11 +327,7 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
     leads = [-weight_dot(b, chamber) / 2 for b in betas]
     pad = max(pairs) - sum(leads) + (max((-l for l in leads), default=Fraction(0)))
     trunc = max(Fraction(-exact_to) + pad, -min(pairs)) + 2
-    P = series(N, chamber, trunc, raw)
-    S = P
-    for beta in betas:
-        S = series_mul(S, expand_inverse_root_factor(beta, chamber, trunc))
-    return S
+    return divide_by_root_factors(N, chamber, trunc, raw, betas)
 
 
 def series_top_pairing(tc: ThetaCharacter) -> Fraction:

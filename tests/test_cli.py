@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from howechar.cli import run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
@@ -104,3 +106,60 @@ def test_oracle_and_rdv_cli():
 def test_run_function_in_process():
     assert run(["roots", "--family", "A", "--rank", "2"]) == 0
     assert run(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"]) == 1  # no point source
+
+
+def test_uh_ostar_with_m_one_is_a_domain_error():
+    out = capture(["support", "--pair", "ostar", "--n", "1", "--m", "1", "--nu", "0"])
+    assert out.returncode == 1
+    assert "uh-ostar needs m >= 2" in out.stderr
+
+
+# JSON of the formal subcommands, one small instance per pair kind, frozen
+# from the Fraction-arithmetic Laurent engine: an engine change that moves
+# a single byte fails here
+FORMAL_GOLDEN = [
+    (
+        "ktypes --pair uu --n 1 --p 1 --q 1 --nu 2 --truncation 10",
+        '{"meta":{"depth":10,"m_embed":0,"nu":["2"],"pair":"uu"},"results":[{"ktype":["-1/2","-3/2"],"multiplicity":1},'
+        '{"ktype":["-3/2","-1/2"],"multiplicity":1},{"ktype":["-5/2","1/2"],"multiplicity":1},'
+        '{"ktype":["-7/2","3/2"],"multiplicity":1},{"ktype":["-9/2","5/2"],"multiplicity":1},'
+        '{"ktype":["-11/2","7/2"],"multiplicity":1},{"ktype":["-13/2","9/2"],"multiplicity":1},'
+        '{"ktype":["-15/2","11/2"],"multiplicity":1},{"ktype":["-17/2","13/2"],"multiplicity":1},'
+        '{"ktype":["-19/2","15/2"],"multiplicity":1},{"ktype":["-21/2","17/2"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "constant --pair uu --n 1 --p 1 --q 1 --nu 2 --truncation 10",
+        '{"meta":{"m_embed":0,"nu":["2"],"pair":"uu","truncation":10},"results":[{"constant":"1","lambda_min":["-1/2","-3/2"]}],'
+        '"warnings":["lambda-min taken from the expansion\'s top K-type"]}',
+    ),
+    (
+        "ktypes --pair oeven --n 1 --m 2 --nu 2 --truncation 6",
+        '{"meta":{"depth":6,"m_embed":1,"nu":["2"],"pair":"oeven"},"results":[{"ktype":["-1","-3"],"multiplicity":1},'
+        '{"ktype":["-1","-5"],"multiplicity":1},{"ktype":["-2","-4"],"multiplicity":1},{"ktype":["-1","-7"],"multiplicity":1},'
+        '{"ktype":["-2","-6"],"multiplicity":1},{"ktype":["-1","-9"],"multiplicity":1},{"ktype":["-3","-5"],"multiplicity":1}],'
+        '"warnings":[]}',
+    ),
+    (
+        "constant --pair oeven --n 1 --m 2 --nu 2",
+        '{"meta":{"m_embed":1,"nu":["2"],"pair":"oeven","truncation":40},"results":[{"constant":"1","lambda_min":["-1","-3"]}],'
+        '"warnings":["lambda-min taken from the expansion\'s top K-type"]}',
+    ),
+    (
+        "ktypes --pair oodd --n 2 --m 2 --nu 2,1 --truncation 6",
+        '{"meta":{"depth":6,"m_embed":2,"nu":["2","1"],"pair":"oodd"},"results":[{"ktype":["-7/2","-9/2"],"multiplicity":1},'
+        '{"ktype":["-7/2","-13/2"],"multiplicity":1},{"ktype":["-9/2","-11/2"],"multiplicity":1},'
+        '{"ktype":["-7/2","-17/2"],"multiplicity":1},{"ktype":["-9/2","-15/2"],"multiplicity":1},'
+        '{"ktype":["-7/2","-21/2"],"multiplicity":1},{"ktype":["-11/2","-13/2"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "constant --pair ostar --n 1 --m 3 --nu 2 --truncation 6",
+        '{"meta":{"m_embed":1,"nu":["2"],"pair":"ostar","truncation":6},"results":[{"constant":"1/2","lambda_min":["-1","-1","-3"]}],'
+        '"warnings":["lambda-min taken from the expansion\'s top K-type"]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FORMAL_GOLDEN, ids=[a for a, _ in FORMAL_GOLDEN])
+def test_formal_subcommands_keep_their_bytes(argv, expected, capsys):
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out == expected + "\n"

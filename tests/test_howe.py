@@ -39,6 +39,13 @@ def test_pair_root_data():
         dual_pair("oeven-sp", 3, m=2)
 
 
+def test_uh_ostar_needs_m_at_least_two():
+    # O*(2) is of type D_1, which has no roots
+    with pytest.raises(ValueError, match="uh-ostar needs m >= 2"):
+        dual_pair("uh-ostar", 1, m=1)
+    assert dual_pair("uh-ostar", 1, m=2).rs_gprime.rank == 2
+
+
 def test_rho_g_values():
     assert dual_pair("uu", 3, p=2, q=2).rho_g == weight(1, 0, -1)
     assert dual_pair("oeven-sp", 2, m=2).rho_g == weight(1, 0)

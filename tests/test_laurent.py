@@ -71,6 +71,8 @@ def test_expand_inverse_negative_direction_and_leading_term():
     assert flipped.terms[lead2] == -1  # overall -1 on the reversed expansion
     with pytest.raises(NonConvergentDirection):
         expand_inverse_root_factor(weight(1, -1), (1, 1), 10)
+    with pytest.raises(NonConvergentDirection):
+        expand_inverse_root_factor(weight(1, 0, -1), (1, 2, 1), 10)
 
 
 def test_eval_exact():
@@ -108,3 +110,31 @@ def test_partial_fraction_sum_examples():
 
 def test_dominant_chamber():
     assert dominant_chamber(4) == (4, 3, 2, 1)
+
+
+def test_mul_with_a_non_integral_coefficient_stays_exact():
+    cham, T = (2, 1), 10
+    a = series(2, cham, T, {weight("1/2", 0): F(1, 3), weight(0, "1/2"): F(1)})
+    b = monomial(2, cham, T, weight("1/2", "-1/2"), F(1, 3))
+    prod = series_mul(a, b)
+    assert dict(prod.terms) == {weight(1, "-1/2"): F(1, 9), weight("1/2", 0): F(1, 3)}
+    assert all(type(c) is Fraction for c in prod.terms.values())
+    assert all(type(x) is Fraction for e in prod.terms for x in e)
+
+
+def test_fraction_truncation_keeps_its_own_level():
+    # T = 7/2: level -7/2 is kept, level -4 is dropped
+    T = F(7, 2)
+    s = series(1, (1,), T, {weight("-7/2"): F(1), weight(-4): F(1)})
+    assert dict(s.terms) == {weight("-7/2"): F(1)}
+    prod = series_mul(monomial(1, (1,), T, weight(-3)), series(1, (1,), T, {weight("-1/2"): F(1), weight(-1): F(1)}))
+    assert dict(prod.terms) == {weight("-7/2"): F(1)}
+    inv = expand_inverse_root_factor(weight(1), (1,), T)
+    assert sorted(e[0] for e in inv.terms) == [F(-7, 2), F(-5, 2), F(-3, 2), F(-1, 2)]
+
+
+def test_exponent_denominator_three_is_refused():
+    with pytest.raises(ValueError, match="denominators"):
+        series(1, (1,), 5, {(F(1, 3),): F(1)})
+    with pytest.raises(ValueError, match="denominators"):
+        monomial(2, (2, 1), 5, (F(2, 3), F(0)))

@@ -145,3 +145,14 @@ def test_threads_env_var_respected(monkeypatch):
     op = orbit_parameter(A2, A2, [1, 0])
     truth = rdv_fourier(A2, A2, op, [0.9, -0.4])
     assert abs(est.value - truth) <= 4 * est.stderr
+
+
+def test_monte_carlo_bytes_do_not_depend_on_thread_count(monkeypatch):
+    # samples come in fixed-size chunks with one child seed each, so the
+    # worker count only changes who draws a chunk, not what is drawn
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("HOWECHAR_THREADS", threads)
+        runs.append(orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=20_000, seed=3, method="mc", batch=1000))
+    assert runs[0].value == runs[1].value
+    assert runs[0].stderr == runs[1].stderr

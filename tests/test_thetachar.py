@@ -395,6 +395,64 @@ def test_character_series_times_noncompact_factors_recovers_numerator():
                 assert P.get(e, F(0)) == c, (pair.kind, e, c)
 
 
+def _divide_by_root_factor(S, beta, chamber, floor):
+    """S / (h^{beta/2} - h^{-beta/2}) on plain dicts, exact at levels >= floor.
+
+    With s = -beta/2, c = 1 for <beta, chamber> > 0 (s = beta/2, c = -1
+    otherwise) the quotient U satisfies U(e) = c S(e - s) + U(e - 2s), and
+    e - s, e - 2s lie higher along the chamber than e, so the keys are
+    filled in descending level.
+    """
+
+    def level(e):
+        return sum(x * d for x, d in zip(e, chamber))
+
+    sgn = 1 if level(beta) > 0 else -1
+    s = tuple(-sgn * F(b) / 2 for b in beta)
+    keys = set()
+    for e0 in S:
+        e = tuple(x + y for x, y in zip(e0, s))
+        while level(e) >= floor:
+            keys.add(e)
+            e = tuple(x + 2 * y for x, y in zip(e, s))
+    U = {}
+    for e in sorted(keys, key=level, reverse=True):
+        above = tuple(x - y for x, y in zip(e, s))
+        c = sgn * S.get(above, 0) + U.get(tuple(x - y for x, y in zip(above, s)), 0)
+        if c:
+            U[e] = c
+    return U
+
+
+@pytest.mark.parametrize(
+    "kind, n, kw, nu",
+    [
+        ("uu", 2, dict(p=2, q=2), [1, 0]),
+        ("oeven-sp", 1, dict(m=2), [2]),
+        ("oodd-sp", 2, dict(m=2), [2, 1]),
+        ("uh-ostar", 2, dict(m=3), [1, 1]),
+        ("uu", 2, dict(p=3, q=2), [F(1, 2), F(1, 2)]),
+    ],
+    ids=["uu(2;2,2)", "oeven-sp(1;2)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(2;3,2)"],
+)
+def test_character_series_matches_a_recurrence_oracle(kind, n, kw, nu):
+    # the oracle shares no code with the Laurent engine: it divides the
+    # numerator by one noncompact factor at a time through the recurrence
+    from howechar.rootsys import weight_dot
+    from howechar.thetachar import noncompact_positive_roots, series_top_pairing
+
+    tc = theta_character(dual_pair(kind, n, **kw), nu)
+    chamber = tuple(range(tc.pair.rank_gprime, 0, -1))
+    floor = series_top_pairing(tc) - 8
+    U = dict(numerator_terms(tc))
+    for beta in noncompact_positive_roots(tc.pair):
+        U = _divide_by_root_factor(U, beta, chamber, floor)
+    S = character_series(tc, floor)
+    engine = {e: c for e, c in S.terms.items() if weight_dot(e, chamber) >= floor}
+    assert engine == U
+    assert len(U) >= 10  # 13 to 60 terms compared
+
+
 def test_block_sorting_rejects_non_regular_orbits():
     from howechar.thetachar import _block_sorted
 
