@@ -71,7 +71,7 @@ from .thetachar import (
     theta_u1_closed,
     vandermonde_identity_check,
 )
-from .torus import eval_monomial, is_regular, restricted_denominator, weyl_denominator
+from .torus import eval_monomial, is_regular, weyl_denominator
 from .weylchar import QuadratureGrid, schur_oracle, torus_inner_product, weyl_character, weyl_dimension
 
 __version__ = "0.1.0"

@@ -224,6 +224,8 @@ def run(argv: list[str]) -> int:
         missing = [f"--{s}" for s in sizes if getattr(args, s) is None]
         if missing:
             parser.error(f"--pair {args.pair} needs {' and '.join(missing)}")
+    if args.command == "oracle" and args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
     warnings: list[str] = []
     try:
         if args.command == "roots":

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, FormulaInconsistency, NotInCorrespondence
@@ -61,6 +62,12 @@ def _block_compact_roots(rank: int, blocks: Sequence[tuple[int, int]]) -> tuple[
     return tuple(sorted(out))
 
 
+@cache
+def _gprime_root_system(family: str, rank: int, blocks: tuple[tuple[int, int], ...]) -> RootSystem:
+    """The root system of g' with the K' blocks' roots marked compact, built once."""
+    return build_root_system(family, rank).with_compact_roots(_block_compact_roots(rank, blocks))
+
+
 @dataclass(frozen=True)
 class DualPairSpec:
     kind: PairKind
@@ -83,13 +90,7 @@ class DualPairSpec:
 
     @property
     def rs_gprime(self) -> RootSystem:
-        fam = _PAIR_FAMILIES[self.kind][1]
-        rs = build_root_system(fam, self.rank_gprime)
-        if self.kind is PairKind.UU:
-            blocks = [(0, self.p), (self.p, self.p + self.q)]
-        else:
-            blocks = [(0, self.m)]
-        return rs.with_compact_roots(_block_compact_roots(rs.rank, blocks))
+        return _gprime_root_system(_PAIR_FAMILIES[self.kind][1], self.rank_gprime, self.kprime_blocks)
 
     @property
     def kprime_blocks(self) -> tuple[tuple[int, int], ...]:

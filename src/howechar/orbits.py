@@ -169,6 +169,8 @@ def orbit_integral_oracle(
         return OracleEstimate(scale * hciz_mean(lam_f, x), None, "hciz")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     lam_v, xdiag = np.array(lam_f), np.array(x)
     # fixed-size chunks, chunk i drawn from the i-th child seed, so the
     # samples do not depend on how many workers share the chunks

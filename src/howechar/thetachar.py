@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -29,7 +28,6 @@ from .howe import (
     embedded_index_set,
     eta_cosets,
     kprime_weyl,
-    project,
     rho_z,
     structural_m_range,
     support_interval,
@@ -38,7 +36,6 @@ from .howe import (
 )
 from .laurent import LaurentSeries, divide_by_root_factors, dominant_chamber, partial_fraction_sum
 from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign, weight_dot
-from .torus import eval_monomial, is_regular
 
 SINGULAR_GUARD = 1e-9
 
@@ -51,17 +48,46 @@ class ThetaCharacter:
     m: int
 
     @cached_property
+    def orbit_table(self) -> dict[tuple[int, ...], int]:
+        """The one representation of the instance: the numerator
+        sum_v c_v sum_{tau in W(K')} sign(tau) h^{tau(v)}, keyed by the doubled
+        block-decreasing exponent 2v with int coefficient c_v.
+
+        Each (eta, z) pair contributes the W(K')-alternating sum over the
+        orbit of u = base_eta + z(rho_z).  That sum is zero when u repeats a
+        value inside a K' block, and otherwise sign(tau) times the sum over
+        the block-sorted v with act(tau, v) == u; so the signs are collected
+        per v.
+        """
+        pair = self.pair
+        S = embedded_index_set(pair, self.m)
+        table: dict[tuple[int, ...], int] = {}
+        for sgn_eta, expo in eta_exponents(self):
+            base = [0] * pair.rank_gprime
+            for key, c in zip(S, _twice(expo)):
+                base[key] = c
+            for sgn_z, w in _z_orbit(pair, self.m):
+                u = tuple(b + c for b, c in zip(base, w))
+                if any(len(set(u[start:stop])) < stop - start for start, stop in pair.kprime_blocks):
+                    continue
+                v, tau = _block_sorted(pair, u)
+                table[v] = table.get(v, 0) + sgn_eta * sgn_z * sign(tau)
+        return {v: c for v, c in table.items() if c}
+
+    @cached_property
     def numerator(self) -> dict[Weight, Fraction]:
-        """numerator_terms, compiled once per instance."""
+        """numerator_terms, expanded once per instance."""
         return numerator_terms(self)
 
     @cached_property
-    def _numerator_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The numerator as a float exponent matrix and coefficient vector."""
-        terms = self.numerator
-        exps = np.array([[float(c) for c in e] for e in terms], dtype=float)
-        coeffs = np.array([float(c) for c in terms.values()], dtype=float)
-        return exps.reshape(len(terms), self.pair.rank_gprime), coeffs
+    def _float_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """orbit_table as float exponents v and coefficients c_v, beside the
+        positive roots of g' as rows."""
+        table = self.orbit_table
+        exps = np.array(list(table), dtype=float).reshape(len(table), self.pair.rank_gprime) / 2
+        coeffs = np.array(list(table.values()), dtype=float)
+        roots = np.array(self.pair.rs_gprime.positive_roots, dtype=float)
+        return exps, coeffs, roots
 
 
 def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> ThetaCharacter:
@@ -86,7 +112,7 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
     return ThetaCharacter(pair, cd, interval, m)
 
 
-def _eta_exponents(tc: ThetaCharacter) -> list[tuple[int, Weight]]:
+def eta_exponents(tc: ThetaCharacter) -> list[tuple[int, Weight]]:
     """(sign(eta), o * (-eta^{-1} mu')) for each coset representative."""
     o = tc.pair.orientation
     out = []
@@ -96,53 +122,43 @@ def _eta_exponents(tc: ThetaCharacter) -> list[tuple[int, Weight]]:
     return out
 
 
-def _nonvanishing_predicate(tc: ThetaCharacter):
-    embedded = set(embedded_index_set(tc.pair, tc.m))
-    return lambda alpha: any(alpha[i] != 0 for i in embedded)
+def _point(tc: ThetaCharacter, theta_prime: Sequence[float]) -> np.ndarray:
+    if len(theta_prime) != tc.pair.rank_gprime:
+        raise ValueError("dimension mismatch")
+    return np.asarray(theta_prime, dtype=float)
+
+
+def _numerator_value(tc: ThetaCharacter, theta: np.ndarray) -> complex:
+    """sum_v c_v prod over K' blocks of det(e^{i v_j theta_k}), the block
+    determinants being the alternating sums over W(K')."""
+    exps, coeffs, _ = tc._float_table
+    terms = coeffs.astype(complex)
+    for start, stop in tc.pair.kprime_blocks:
+        terms *= np.linalg.det(np.exp(1j * theta[start:stop, None] * exps[:, None, start:stop]))
+    return complex(terms.sum())
 
 
 def theta_eval(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
-    """The double alternating sum over W(K') and the eta cosets.
+    """The numerator form over the Weyl denominator of all positive roots of g'.
 
+    This is the paper's double sum (verify.theta_double_sum) rewritten.
     Values are canonical up to one overall constant per character instance;
     tests and callers compare ratios unless a normalization was computed.
     """
-    pair = tc.pair
-    rs = pair.rs_gprime
-    if len(theta_prime) != rs.rank:
-        raise ValueError("dimension mismatch")
-    if not is_regular(rs, theta_prime, SINGULAR_GUARD):
+    theta = _point(tc, theta_prime)
+    _, _, roots = tc._float_table
+    sines = np.sin(roots @ theta / 2)
+    if not np.abs(sines).min() >= SINGULAR_GUARD:  # also refuses a NaN angle
         raise SingularPoint("point too close to the singular set")
-    keep = _nonvanishing_predicate(tc)
-    exponents = _eta_exponents(tc)
-    total = complex(0.0)
-    for sigma in kprime_weyl(pair):
-        point = act(sigma, theta_prime)
-        den = complex(1.0)
-        for alpha in rs.positive_roots:
-            if keep(alpha):
-                half = sum(float(c) * t for c, t in zip(alpha, point)) / 2.0
-                f = 2j * math.sin(half)
-                if abs(f) < SINGULAR_GUARD:
-                    raise SingularPoint(f"denominator factor for {alpha} below guard")
-                den *= f
-        pr = project(pair, tc.m, point)
-        num = complex(0.0)
-        for sgn_eta, expo in exponents:
-            num += sgn_eta * eval_monomial(pr, expo)
-        total += num / den
-    return total
+    return _numerator_value(tc, theta) / complex(np.prod(2j * sines))
 
 
 def theta_numerator_form(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
     """Delta(h) * Theta(h) as the polynomial sum_e c_e h^e; no poles.
 
-    The terms come from numerator_terms, compiled once per instance.
+    Evaluated off the orbit table, compiled once per instance.
     """
-    if len(theta_prime) != tc.pair.rank_gprime:
-        raise ValueError("dimension mismatch")
-    exps, coeffs = tc._numerator_table
-    return complex(coeffs @ np.exp(1j * (exps @ np.asarray(theta_prime, dtype=float))))
+    return _numerator_value(tc, _point(tc, theta_prime))
 
 
 def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[float]) -> complex:
@@ -266,35 +282,26 @@ def compact_rho(pair: DualPairSpec) -> Weight:
     return rho(RootSystem("A", rs.rank, rs.compact_positive_roots))
 
 
-def numerator_terms(tc: ThetaCharacter) -> dict[Weight, Fraction]:
-    """Exponent -> coefficient of the triple-sum numerator polynomial.
+def _twice(w: Weight) -> tuple[int, ...]:
+    twice = tuple(2 * c for c in w)
+    if any(c.denominator != 1 for c in twice):
+        raise FormulaInconsistency(f"exponent denominators must be 1 or 2: {w}")
+    return tuple(c.numerator for c in twice)
 
-    Each (eta, z) pair contributes the W(K')-alternating sum over the orbit
-    of u = base_eta + z(rho_z).  That sum is zero when u repeats a value
-    inside a K' block, and otherwise sign(tau) times the sum over the
-    block-sorted v with act(tau, v) == u; so the signs are collected per v
-    and each nonzero orbit is expanded once.
-    """
-    pair = tc.pair
-    N = pair.rank_gprime
-    S = embedded_index_set(pair, tc.m)
-    rz = rho_z(pair, tc.m)
-    z_parts = [(sign(sz), act(sz, rz)) for sz in z_weyl(pair, tc.m)]
-    orbits: dict[Weight, int] = {}
-    for sgn_eta, expo in _eta_exponents(tc):
-        base = [Fraction(0)] * N
-        for key, c in zip(S, expo):
-            base[key] = c
-        for sgn_z, w in z_parts:
-            u = tuple(b + c for b, c in zip(base, w))
-            if any(len(set(u[start:stop])) < stop - start for start, stop in pair.kprime_blocks):
-                continue
-            v, tau = _block_sorted(pair, u)
-            orbits[v] = orbits.get(v, 0) + sgn_eta * sgn_z * sign(tau)
+
+@cache
+def _z_orbit(pair: DualPairSpec, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign(z), 2 z(rho_z)) over W(Z); it depends on the pair and m only."""
+    rz = _twice(rho_z(pair, m))
+    return tuple((sign(sz), act(sz, rz)) for sz in z_weyl(pair, m))
+
+
+def numerator_terms(tc: ThetaCharacter) -> dict[Weight, Fraction]:
+    """Exponent -> coefficient of the numerator polynomial: each orbit of
+    the orbit table expanded once over W(K')."""
     out: dict[Weight, Fraction] = {}
-    for v, c in orbits.items():
-        if c:
-            out.update(_alternating_orbit_terms(pair, v, Fraction(c)))
+    for v2, c in tc.orbit_table.items():
+        out.update(_alternating_orbit_terms(tc.pair, tuple(Fraction(x, 2) for x in v2), Fraction(c)))
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import SingularPoint
 from .rootsys import RootSystem, Weight
@@ -44,28 +44,6 @@ def weyl_denominator(rs: RootSystem, theta: Sequence[float]) -> complex:
     out = complex(1.0)
     for alpha in rs.positive_roots:
         out *= root_factor(alpha, theta)
-    return out
-
-
-def restricted_denominator(
-    rs: RootSystem,
-    subset_predicate: Callable[[Weight], bool],
-    theta: Sequence[float],
-    min_factor: float | None = None,
-) -> complex:
-    """Same product restricted to the positive roots selected by the predicate.
-
-    With min_factor set, any selected factor of modulus below it raises
-    SingularPoint instead of silently producing a huge quotient downstream.
-    """
-    out = complex(1.0)
-    for alpha in rs.positive_roots:
-        if not subset_predicate(alpha):
-            continue
-        f = root_factor(alpha, theta)
-        if min_factor is not None and abs(f) < min_factor:
-            raise SingularPoint(f"denominator factor for root {alpha} has modulus {abs(f):.2e}")
-        out *= f
     return out
 
 

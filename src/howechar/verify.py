@@ -21,12 +21,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotInCorrespondence
+from .errors import NotInCorrespondence, SingularPoint
 from .howe import (
     PairKind,
     dual_pair,
+    embedded_index_set,
     eta_cosets,
     eta_cosets_brute_force,
+    kprime_weyl,
+    project,
     support_interval,
     validate_weight,
     z_subsystem,
@@ -35,6 +38,9 @@ from .howe import (
 from .orbits import orbit_integral_oracle, orbit_parameter, rdv_fourier
 from .rootsys import act, build_root_system, compose, rho, sign, weight, weyl_elements
 from .thetachar import (
+    SINGULAR_GUARD,
+    ThetaCharacter,
+    eta_exponents,
     ktype_expansion,
     theta_character,
     theta_eval,
@@ -42,7 +48,7 @@ from .thetachar import (
     theta_u1_closed,
     vandermonde_identity_check,
 )
-from .torus import eval_monomial, random_regular, weyl_denominator
+from .torus import eval_monomial, is_regular, random_regular, root_factor, weyl_denominator
 from .weylchar import QuadratureGrid, character_numerators_on_grid, schur_oracle, weyl_character, weyl_dimension
 
 F = Fraction
@@ -183,6 +189,26 @@ def closed_forms(quick: bool) -> str:
     return f"theta_eval == closed forms up to one constant per instance ({checked} instances, 1e-9)"
 
 
+def theta_double_sum(tc: ThetaCharacter, theta_prime) -> complex:
+    """The paper's formula, the reference of criterion 7: the alternating sum
+    over W(K') and the eta cosets, over the Weyl denominator of the roots that
+    touch the embedded torus.  It shares no evaluation code with theta_eval.
+    """
+    pair, rs = tc.pair, tc.pair.rs_gprime
+    if not is_regular(rs, theta_prime, SINGULAR_GUARD):
+        raise SingularPoint("point too close to the singular set")
+    embedded = embedded_index_set(pair, tc.m)
+    touching = [alpha for alpha in rs.positive_roots if any(alpha[i] != 0 for i in embedded)]
+    exponents = eta_exponents(tc)
+    total = complex(0.0)
+    for sigma in kprime_weyl(pair):
+        point = act(sigma, theta_prime)
+        pr = project(pair, tc.m, point)
+        num = sum(sgn_eta * eval_monomial(pr, expo) for sgn_eta, expo in exponents)
+        total += num / math.prod(root_factor(alpha, point) for alpha in touching)
+    return total
+
+
 def numerator_consistency(quick: bool) -> str:
     rng = random.Random(107)
     cases = []
@@ -196,11 +222,16 @@ def numerator_consistency(quick: bool) -> str:
     ]
     for pair, nu in cases:
         tc = theta_character(pair, nu)
-        ratios = []
+        numerator, theta = [], []
         for _ in range(10):
             th = random_regular(pair.rs_gprime, rng, 5e-2)
-            ratios.append(theta_numerator_form(tc, th) / (weyl_denominator(pair.rs_gprime, th) * theta_eval(tc, th)))
-        _require(_spread(ratios) <= 1e-9, pair.kind, nu, ratios)
+            reference = theta_double_sum(tc, th)
+            numerator.append(theta_numerator_form(tc, th) / (weyl_denominator(pair.rs_gprime, th) * reference))
+            theta.append(theta_eval(tc, th) / reference)
+        for ratios in (numerator, theta):
+            # the orbit table is the double sum rewritten exactly, so the
+            # constant is 1 in this normalization
+            _require(_spread(ratios) <= 1e-9 and abs(np.mean(ratios) - 1) <= 1e-9, pair.kind, nu, ratios)
     return f"numerator form / (Delta * theta) constant for {len(cases)} instances (spread <= 1e-9)"
 
 
@@ -365,8 +396,8 @@ CHECKS: tuple[Check, ...] = (
     Check("3", "character orthogonality on the offset grid", orthogonality),
     Check("4", "partial-fraction identity (deterministic)", partial_fraction_identity),
     Check("5", "m-independence for rank-one pairs", m_independence),
-    Check("6", "closed forms vs double sum", closed_forms),
-    Check("7", "numerator form vs Delta * theta", numerator_consistency),
+    Check("6", "closed forms vs theta", closed_forms),
+    Check("7", "numerator form and theta vs the double sum", numerator_consistency),
     Check("8", "support interval tables", support_tables),
     Check("9", "orbit transform vs determinant and Monte-Carlo oracles", rdv_oracles),
     Check("10", "K-type ladders", ktype_ladders),

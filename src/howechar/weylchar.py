@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .rootsys import (
     weyl_elements,
     weyl_order,
 )
-from .torus import eval_monomial, is_regular, weyl_denominator
+from .torus import is_regular, weyl_denominator
 
 SCHUR_WEIGHT_CAP = 12
 SCHUR_LENGTH_CAP = 5
@@ -54,16 +55,26 @@ class QuadratureGrid:
         return np.stack([a.reshape(-1) for a in axes], axis=-1)
 
 
+@cache
+def _alternant_table(rs: RootSystem, lam: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """The Weyl numerator sum_w sign(w) h^{w(lam+rho)} as an exponent matrix
+    (one row per element of W) and its sign vector, built once per (rs, lam)."""
+    lam_rho = weight_add(lam, rho(rs))
+    elements = list(weyl_elements(rs))
+    exps = np.array([act(w, lam_rho) for w in elements], dtype=float)
+    signs = np.array([sign(w) for w in elements], dtype=float)
+    exps.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return exps, signs
+
+
 def weyl_character(rs: RootSystem, lam: Weight, theta: Sequence[float]) -> complex:
     """Alternating-sum-over-denominator character value at a regular point."""
     if not is_dominant(rs, lam):
         raise ValueError(f"{lam} is not dominant for {rs.family}{rs.rank}")
     if not is_regular(rs, theta):
         raise SingularPoint(f"{theta} is singular for {rs.family}{rs.rank}")
-    lam_rho = weight_add(lam, rho(rs))
-    num = complex(0.0)
-    for w in weyl_elements(rs):
-        num += sign(w) * eval_monomial(theta, act(w, lam_rho))
+    exps, signs = _alternant_table(rs, tuple(lam))
+    num = complex(signs @ np.exp(1j * (exps @ np.asarray(theta, dtype=float))))
     return num / weyl_denominator(rs, theta)
 
 
@@ -143,12 +154,8 @@ def character_numerators_on_grid(rs: RootSystem, lam: Weight, points: np.ndarray
     chi_lam * conj(chi_mu) * |Delta|^2 equals numerator_lam * conj(numerator_mu)
     pointwise, which sidesteps the removable wall singularities entirely.
     """
-    lam_rho = weight_add(lam, rho(rs))
-    num = np.zeros(points.shape[0], dtype=complex)
-    for w in weyl_elements(rs):
-        wlr = np.array([float(c) for c in act(w, lam_rho)])
-        num += sign(w) * np.exp(1j * points @ wlr)
-    return num
+    exps, signs = _alternant_table(rs, tuple(lam))
+    return np.exp(1j * (points @ exps.T)) @ signs
 
 
 def torus_inner_product(

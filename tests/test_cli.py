@@ -62,9 +62,13 @@ def test_parse_error_exit_code():
         ["theta", *uu, "--nu", "0", "--theta", "1,x"],
         ["theta", "--pair", "uu", "--n", "1", "--nu", "0", "--theta", "1,2"],
         ["support", "--pair", "oeven", "--n", "1", "--nu", "1"],
+        ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "0"],
+        ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "-5"],
     ):
         out = capture(argv)
         assert out.returncode == 2, (argv, out.stderr)
+        if argv[0] == "oracle":
+            assert "--samples" in out.stderr
 
 
 def test_singular_point_domain_error():

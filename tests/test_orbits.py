@@ -156,3 +156,9 @@ def test_monte_carlo_bytes_do_not_depend_on_thread_count(monkeypatch):
         runs.append(orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=20_000, seed=3, method="mc", batch=1000))
     assert runs[0].value == runs[1].value
     assert runs[0].stderr == runs[1].stderr
+
+
+def test_monte_carlo_rejects_non_positive_sample_counts():
+    for n_samples in (0, -5):
+        with pytest.raises(ValueError, match="n_samples"):
+            orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=n_samples, method="mc")

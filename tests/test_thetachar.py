@@ -46,6 +46,8 @@ def test_theta_singular_point_rejected():
     with pytest.raises(SingularPoint):
         theta_eval(tc, (1.0, 1.0))
     with pytest.raises(SingularPoint):
+        theta_eval(tc, (float("nan"), 1.0))
+    with pytest.raises(SingularPoint):
         theta_u1_closed(1, 1, 0, 1, (1.0, 1.0))
 
 
@@ -480,13 +482,23 @@ def test_theta_independent_of_eta_coset_representatives():
     swap = WeylElement((1, 0), (1, 1))
     twisted_rep = compose(swap, eta)  # the function eta o swap, same coset
 
+    calls = []
+
+    def twisted(*args, **kwargs):
+        calls.append(args)
+        return [twisted_rep]
+
     original = tmod.eta_cosets
     try:
-        tmod.eta_cosets = lambda *a, **k: [twisted_rep]
-        twisted_vals = [theta_eval(tc, th) for th in points]
+        tmod.eta_cosets = twisted
+        # a fresh instance, so the twisted representative reaches the compile
+        twisted_tc = theta_character(pair, [0, 0], m=2)
+        twisted_vals = [theta_eval(twisted_tc, th) for th in points]
     finally:
         tmod.eta_cosets = original
+    assert calls
     for a, b in zip(reference, twisted_vals):
+        assert abs(a) > 1e-3
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -521,3 +533,44 @@ def test_ktype_mixed_sign_weights_are_refused():
     for nu in ([1, -1], [2, -1]):
         with pytest.raises(FormulaInconsistency):
             ktype_expansion(theta_character(pair, nu), depth=8)
+
+
+# the five instances of the benchmark's torus_eval workload
+TORUS_EVAL_INSTANCES = (
+    (dual_pair("uu", 2, p=4, q=3), [F(-1, 2), F(-1, 2)]),
+    (dual_pair("oeven-sp", 3, m=5), [1, 0, 0]),
+    (dual_pair("oodd-sp", 3, m=3), [1, 1, 1]),
+    (dual_pair("uh-ostar", 3, m=4), [2, 1, 1]),
+    (dual_pair("uu", 3, p=3, q=3), [1, 0, 0]),
+)
+
+
+def _theta_mpmath(tc, theta):
+    """The orbit table over the Weyl denominator of g', at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        th = [mpmath.mpf(t) for t in theta]
+        num = mpmath.mpc(0)
+        for v2, c in tc.orbit_table.items():
+            term = mpmath.mpf(c)
+            for start, stop in tc.pair.kprime_blocks:
+                block = range(start, stop)
+                term *= mpmath.det(mpmath.matrix([[mpmath.expj(th[k] * v2[j] / 2) for j in block] for k in block]))
+            num += term
+        den = mpmath.mpc(1)
+        for alpha in tc.pair.rs_gprime.positive_roots:
+            den *= 2j * mpmath.sin(sum(int(a) * t for a, t in zip(alpha, th)) / 2)
+        return complex(num / den)
+
+
+@pytest.mark.parametrize(
+    "pair, nu", TORUS_EVAL_INSTANCES, ids=["uu(2;4,3)", "oeven-sp(3;5)", "oodd-sp(3;3)", "uh-ostar(3;4)", "uu(3;3,3)"]
+)
+def test_theta_eval_matches_a_40_digit_evaluation(pair, nu):
+    rng = random.Random(31)
+    tc = theta_character(pair, nu)
+    for _ in range(4):
+        th = random_regular(pair.rs_gprime, rng, 5e-2)
+        exact = _theta_mpmath(tc, th)
+        assert abs(theta_eval(tc, th) - exact) <= 1e-12 * abs(exact), (pair, th)

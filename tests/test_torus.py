@@ -8,7 +8,6 @@ from howechar.torus import (
     eval_monomial,
     is_regular,
     random_regular,
-    restricted_denominator,
     weyl_denominator,
 )
 
@@ -47,16 +46,6 @@ def test_weyl_denominator_modulus_squared():
         theta = tuple(rng.uniform(0, 2 * math.pi) for _ in range(2))
         d = weyl_denominator(b2, theta)
         assert abs(d * d.conjugate() - abs(d) ** 2) < 1e-12 * max(1.0, abs(d) ** 2)
-
-
-def test_restricted_denominator():
-    a2 = build_root_system("A", 2)
-    theta = (1.1, 2.3)
-    assert restricted_denominator(a2, lambda a: True, theta) == weyl_denominator(a2, theta)
-    assert restricted_denominator(a2, lambda a: False, theta) == 1.0
-    # single root e1 - e2 selected out of the rank-2 ambient system
-    pick = restricted_denominator(a2, lambda a: a == weight(1, -1), (math.pi / 2, -math.pi / 2))
-    assert abs(pick - 2j) < 1e-12
 
 
 def test_is_regular():
