@@ -200,6 +200,12 @@ class IdentityVerdict:
 
 
 @cache
+def _signed_permutations(M: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(pi, sgn pi) over the permutations of range(M), in itertools order."""
+    return tuple((pi, perm_sign(pi)) for pi in itertools.permutations(range(M)))
+
+
+@cache
 def _identity_polynomial_coefficients(N: int, k: int) -> dict[tuple[int, ...], int]:
     """Exponent -> coefficient of sum_b (-1)^{b-1} h_b^k V_b(h), via Leibniz.
 
@@ -208,20 +214,18 @@ def _identity_polynomial_coefficients(N: int, k: int) -> dict[tuple[int, ...], i
     x_i^{M-1-pi(i)} with M = N-1.  The full polynomial is the asserted
     identity times the total Vandermonde, so the identity holds exactly when
     every coefficient cancels.  The result depends on N = p+q only, so it is
-    memoised.
+    memoised; the signed permutations depend on M only and are shared by
+    every k.
     """
     M = N - 1
+    # V_b's exponent row for pi, in the order of the variables other than b
+    rows = [(tuple(M - 1 - i for i in pi), sgn) for pi, sgn in _signed_permutations(M)]
     coeffs: dict[tuple[int, ...], int] = {}
     for b in range(N):
-        others = [a for a in range(N) if a != b]
-        for pi in itertools.permutations(range(M)):
-            sgn = perm_sign(pi)
-            expo = [0] * N
-            expo[b] = k
-            for slot, a in enumerate(others):
-                expo[a] = M - 1 - pi[slot]
-            key = tuple(expo)
-            coeffs[key] = coeffs.get(key, 0) + (-1) ** b * sgn
+        sb = (-1) ** b
+        for row, sgn in rows:
+            key = (*row[:b], k, *row[b:])
+            coeffs[key] = coeffs.get(key, 0) + sb * sgn
     return {e: c for e, c in coeffs.items() if c != 0}
 
 

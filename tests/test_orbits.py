@@ -95,11 +95,65 @@ def test_rdv_regularity_guard():
         rdv_fourier(A2, A2, op, (1.0, 1.0))
 
 
+def _haar_qr_reference(n, count, rng):
+    # reference kernel: Householder QR of the same Gaussian batch, with R's
+    # diagonal phases moved into Q so that R has a positive diagonal
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.einsum("bii->bi", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def test_haar_unitaries_are_unitary():
-    rng = np.random.default_rng(0)
-    u = haar_unitaries(3, 8, rng)
-    eye = np.einsum("bij,bkj->bik", u, np.conj(u))
-    assert np.abs(eye - np.eye(3)).max() < 1e-12
+    for n in (1, 2, 3, 5):
+        u = haar_unitaries(n, 4096, np.random.default_rng(0))
+        eye = np.einsum("bij,bkj->bik", u, np.conj(u))
+        assert np.abs(eye - np.eye(n)).max() <= 1e-13
+
+
+class _NearlyDependentColumns:
+    # stands in for a Generator: in every Gaussian block the columns differ
+    # from the first column by 1e-6 times a random vector
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        return z[:, :, :1] + 1e-6 * z
+
+
+def test_haar_unitaries_stay_unitary_on_nearly_dependent_columns():
+    # one Gram-Schmidt pass leaves errors near 1e-8 here; the second pass
+    # brings the columns back to orthogonal at machine precision
+    for n in (2, 3, 5):
+        u = haar_unitaries(n, 4096, _NearlyDependentColumns(3))
+        eye = np.einsum("bij,bkj->bik", u, np.conj(u))
+        assert np.abs(eye - np.eye(n)).max() <= 1e-13
+
+
+def test_haar_unitaries_match_phase_fixed_qr():
+    # QR with a positive-diagonal R is unique, so both kernels must return
+    # the same unitary for the same Gaussian draw, up to roundoff
+    for n in (1, 2, 3, 5):
+        u = haar_unitaries(n, 4096, np.random.default_rng(11 + n))
+        ref = _haar_qr_reference(n, 4096, np.random.default_rng(11 + n))
+        assert np.abs(u - ref).max() <= 1e-12
+
+
+def test_monte_carlo_stderr_matches_two_pass_formula():
+    # redraw the oracle's chunks and take the mean and the two-pass standard
+    # error from the full sample array; lam = (1, 0) makes the scale factor 1
+    n, lam, x, n_samples, seed, batch = 2, [1, 0], [1.0, -0.5], 20_000, 5, 4096
+    est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc", batch=batch)
+    counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
+    children = np.random.SeedSequence(seed).spawn(len(counts))
+    lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
+    u = np.concatenate([haar_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
+    vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
+    mean = vals.mean()
+    stderr = np.sqrt((np.abs(vals - mean) ** 2).mean() / len(vals))
+    assert abs(est.value - mean) <= 1e-14
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
 
 def test_hciz_matches_rdv():
