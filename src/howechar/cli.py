@@ -92,8 +92,6 @@ def _embedding_choice(args):
 def _points_from_args(args, rs, warnings: list[str]):
     if args.theta is not None:
         return [tuple(_floats(args.theta))]
-    if args.random_regular <= 0:
-        raise ValueError("provide --theta or --random-regular COUNT")
     rng = random.Random(args.seed)
     return [random_regular(rs, rng, 0.05) for _ in range(args.random_regular)]
 
@@ -226,6 +224,10 @@ def run(argv: list[str]) -> int:
             parser.error(f"--pair {args.pair} needs {' and '.join(missing)}")
     if args.command == "oracle" and args.samples < 1:
         parser.error(f"--samples must be at least 1, got {args.samples}")
+    if getattr(args, "random_regular", 1) <= 0 and args.theta is None:
+        parser.error("provide --theta or a positive --random-regular COUNT")
+    if args.command == "ktypes" and args.truncation < 0:
+        parser.error(f"--truncation must be at least 0, got {args.truncation}")
     warnings: list[str] = []
     try:
         if args.command == "roots":

@@ -1,16 +1,21 @@
 """Exact truncated Laurent sums of weight-exponent monomials.
 
-A series holds rational coefficients keyed by exponent vectors (tuples of
-Fractions with denominator at most 2).  A chamber direction d orders the
-exponents by the pairing <e, d>; terms with <e, d> < -T are dropped, so the
-ring operations are exact for every exponent kept.  Inverse root factors
+A series is a sum of rational multiples of monomials h^e whose exponents
+have denominators 1 or 2.  A chamber direction d orders the exponents by the
+pairing <e, d>; terms with <e, d> < -T are dropped, so the ring operations
+are exact for every exponent kept.  Inverse root factors
 1/(h^{b/2} - h^{-b/2}) expand as geometric series toward -infinity along d.
 
-The arithmetic runs on doubled exponents: 2e is a tuple of ints, its level
-<2e, d> an int, and a term is kept when that level is at least ceil(-2T).
-Coefficients are int numerators over one common denominator per series, so
-no Fraction is touched inside a loop over term pairs.  `LaurentSeries.terms`
-is the Fraction-keyed view of that form.
+`LaurentSeries` stores the doubled form: `doubled` maps the int tuple 2e to
+an int numerator over one denominator `den`, and a term is kept when its int
+level <2e, d> is at least ceil(-2T), so no Fraction is touched inside a loop
+over term pairs.  `terms`, the Fraction-keyed view, is derived on first read.
+
+The library calls `divide_by_root_factors` on the doubled numerator that
+`thetachar` compiles.  `series`, `series_add`, `series_mul`, `monomial`,
+`expand_inverse_root_factor`, `root_factor_series` and `eval_exact` stay:
+the tests check the engine against them, and `benchmarks/layers.py` traces
+`series`, `series_mul` and `expand_inverse_root_factor`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -43,21 +49,14 @@ def dominant_chamber(rank: int) -> Chamber:
     return tuple(range(rank, 0, -1))
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    rank: int
-    chamber: Chamber
-    truncation: Fraction
-    terms: Mapping[Weight, Fraction]
-
-    def depth(self, exponent: Weight) -> Fraction:
-        return weight_dot(exponent, self.chamber)
-
-    def coefficient(self, exponent: Weight) -> Fraction:
-        return self.terms.get(tuple(Fraction(c) for c in exponent), Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self.terms)
+def _ints(values: Sequence, scale: int = 2) -> tuple[int, ...]:
+    """scale * values as ints: the doubled form 2e of an exponent whose
+    denominators are 1 or 2, or with scale 1 an integral root."""
+    out = tuple(scale * Fraction(x) for x in values)
+    if any(x.denominator != 1 for x in out):
+        need = "exponent denominators must be 1 or 2" if scale == 2 else "a root must be integral"
+        raise ValueError(f"{need}: {tuple(map(Fraction, values))}")
+    return tuple(x.numerator for x in out)
 
 
 def _level(e: tuple[int, ...], chamber: Chamber) -> int:
@@ -69,30 +68,33 @@ def _floor(truncation: Fraction) -> int:
     return math.ceil(-2 * truncation)
 
 
-def _doubled(rank: int, items: Iterable[tuple[Weight, object]]) -> tuple[Doubled, int]:
-    """Sum the terms by doubled exponent; int numerators over their lcm denominator."""
-    summed: dict[tuple[int, ...], Fraction] = {}
-    for e, c in items:
-        if len(e) != rank:
-            raise ValueError("exponent length must equal rank")
-        twice = tuple(2 * Fraction(x) for x in e)
-        if any(x.denominator != 1 for x in twice):
-            raise ValueError(f"exponent denominators must be 1 or 2: {tuple(x / 2 for x in twice)}")
-        e2 = tuple(x.numerator for x in twice)
-        summed[e2] = summed.get(e2, 0) + Fraction(c)
-    den = math.lcm(*(c.denominator for c in summed.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in summed.items() if c}, den
+@dataclass(frozen=True)
+class LaurentSeries:
+    rank: int
+    chamber: Chamber
+    truncation: Fraction
+    doubled: Doubled
+    den: int = 1
 
+    @cached_property
+    def terms(self) -> Mapping[Weight, Fraction]:
+        """Exponent e -> coefficient, in the order of `doubled`."""
+        halves = {x: Fraction(x, 2) for e in self.doubled for x in e}
+        view = {tuple(map(halves.__getitem__, e)): Fraction(c, self.den) for e, c in self.doubled.items()}
+        return MappingProxyType(view)
 
-def _truncated(rank: int, chamber: Chamber, floor: int, items: Iterable[tuple[Weight, object]]) -> tuple[Doubled, int]:
-    terms, den = _doubled(rank, items)
-    return {e: c for e, c in terms.items() if _level(e, chamber) >= floor}, den
+    def depth(self, exponent: Weight) -> Fraction:
+        return weight_dot(exponent, self.chamber)
 
+    def coefficient(self, exponent: Weight) -> Fraction:
+        try:
+            key = _ints(exponent)
+        except ValueError:  # a denominator above 2: no term has that exponent
+            return Fraction(0)
+        return Fraction(self.doubled.get(key, 0), self.den)
 
-def _from_doubled(rank: int, chamber: Chamber, truncation: Fraction, terms: Doubled, den: int) -> LaurentSeries:
-    halves = {x: Fraction(x, 2) for x in {x for e in terms for x in e}}
-    view = {tuple(map(halves.__getitem__, e)): Fraction(c, den) for e, c in terms.items()}
-    return LaurentSeries(rank, chamber, truncation, MappingProxyType(view))
+    def __len__(self) -> int:
+        return len(self.doubled)
 
 
 def _product(a: Doubled, b: Doubled, chamber: Chamber, floor: int) -> Doubled:
@@ -127,13 +129,6 @@ def _geometric(beta: tuple[int, ...], chamber: Chamber, floor: int) -> Doubled:
     return terms
 
 
-def _integral(beta: Weight) -> tuple[int, ...]:
-    beta = tuple(Fraction(c) for c in beta)
-    if any(c.denominator != 1 for c in beta):
-        raise ValueError(f"exponent denominators must be 1 or 2: {tuple(c / 2 for c in beta)}")
-    return tuple(c.numerator for c in beta)
-
-
 def series(
     rank: int,
     chamber: Sequence[int],
@@ -144,8 +139,16 @@ def series(
     if len(cham) != rank:
         raise ValueError("chamber length must equal rank")
     trunc = Fraction(truncation)
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    return _from_doubled(rank, cham, trunc, *_truncated(rank, cham, _floor(trunc), items))
+    floor = _floor(trunc)
+    summed: dict[tuple[int, ...], Fraction] = {}
+    for e, c in terms.items() if isinstance(terms, Mapping) else terms:
+        if len(e) != rank:
+            raise ValueError("exponent length must equal rank")
+        e2 = _ints(e)
+        summed[e2] = summed.get(e2, 0) + Fraction(c)
+    den = math.lcm(*(c.denominator for c in summed.values()))
+    kept = {e: c.numerator * (den // c.denominator) for e, c in summed.items() if c and _level(e, cham) >= floor}
+    return LaurentSeries(rank, cham, trunc, kept, den)
 
 
 def monomial(rank: int, chamber: Sequence[int], truncation, exponent: Weight, coeff=1) -> LaurentSeries:
@@ -165,9 +168,9 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     _check_compatible(a, b)
     trunc = min(a.truncation, b.truncation)
-    ta, da = _doubled(a.rank, a.terms.items())
-    tb, db = _doubled(b.rank, b.terms.items())
-    return _from_doubled(a.rank, a.chamber, trunc, _product(ta, tb, a.chamber, _floor(trunc)), da * db)
+    prod = _product(a.doubled, b.doubled, a.chamber, _floor(trunc))
+    g = math.gcd(a.den * b.den, *prod.values())  # den stays the least common denominator, as in series()
+    return LaurentSeries(a.rank, a.chamber, trunc, {e: c // g for e, c in prod.items()}, a.den * b.den // g)
 
 
 def expand_inverse_root_factor(beta: Weight, chamber: Sequence[int], truncation) -> LaurentSeries:
@@ -179,30 +182,31 @@ def expand_inverse_root_factor(beta: Weight, chamber: Sequence[int], truncation)
     """
     cham = tuple(int(c) for c in chamber)
     trunc = Fraction(truncation)
-    return _from_doubled(len(beta), cham, trunc, _geometric(_integral(beta), cham, _floor(trunc)), 1)
+    return LaurentSeries(len(beta), cham, trunc, _geometric(_ints(beta, 1), cham, _floor(trunc)))
 
 
 def divide_by_root_factors(
     rank: int,
     chamber: Sequence[int],
     truncation,
-    terms: Mapping[Weight, Fraction],
-    roots: Sequence[Weight],
+    doubled: Mapping[tuple[int, ...], int],
+    roots: Sequence[tuple[int, ...]],
 ) -> LaurentSeries:
-    """terms / prod over roots of (h^{b/2} - h^{-b/2}), expanded along chamber.
+    """doubled / prod over roots of (h^{b/2} - h^{-b/2}), expanded along chamber.
 
-    The same series as multiplying series(rank, chamber, truncation, terms)
-    by expand_inverse_root_factor(b, chamber, truncation) for each root in
+    doubled maps 2e to an int coefficient and each root is an int tuple.
+    The same series as multiplying the series of those terms by
+    expand_inverse_root_factor(b, chamber, truncation) for each root in
     turn, with the terms kept in doubled form from the first factor to the
     last.
     """
     cham = tuple(int(c) for c in chamber)
     trunc = Fraction(truncation)
     floor = _floor(trunc)
-    acc, den = _truncated(rank, cham, floor, terms.items())
+    acc = {e: c for e, c in doubled.items() if _level(e, cham) >= floor}
     for beta in roots:
-        acc = _product(acc, _geometric(_integral(beta), cham, floor), cham, floor)
-    return _from_doubled(rank, cham, trunc, acc, den)
+        acc = _product(acc, _geometric(beta, cham, floor), cham, floor)
+    return LaurentSeries(rank, cham, trunc, acc)
 
 
 def root_factor_series(beta: Weight, chamber: Sequence[int], truncation) -> LaurentSeries:

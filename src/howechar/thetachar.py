@@ -34,8 +34,8 @@ from .howe import (
     validate_weight,
     z_weyl,
 )
-from .laurent import LaurentSeries, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign, weight_dot
+from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
+from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign
 
 SINGULAR_GUARD = 1e-9
 
@@ -64,7 +64,7 @@ class ThetaCharacter:
         table: dict[tuple[int, ...], int] = {}
         for sgn_eta, expo in eta_exponents(self):
             base = [0] * pair.rank_gprime
-            for key, c in zip(S, _twice(expo)):
+            for key, c in zip(S, _ints(expo)):
                 base[key] = c
             for sgn_z, w in _z_orbit(pair, self.m):
                 u = tuple(b + c for b, c in zip(base, w))
@@ -75,9 +75,12 @@ class ThetaCharacter:
         return {v: c for v, c in table.items() if c}
 
     @cached_property
-    def numerator(self) -> dict[Weight, Fraction]:
-        """numerator_terms, expanded once per instance."""
-        return numerator_terms(self)
+    def numerator(self) -> dict[tuple[int, ...], int]:
+        """orbit_table expanded over W(K'): doubled exponent 2e -> int coefficient."""
+        out: dict[tuple[int, ...], int] = {}
+        for v, c in self.orbit_table.items():
+            out.update(_alternating_orbit_terms(self.pair, v, c))
+        return out
 
     @cached_property
     def _float_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,35 +289,25 @@ def compact_rho(pair: DualPairSpec) -> Weight:
     return rho(RootSystem("A", rs.rank, rs.compact_positive_roots))
 
 
-def _twice(w: Weight) -> tuple[int, ...]:
-    twice = tuple(2 * c for c in w)
-    if any(c.denominator != 1 for c in twice):
-        raise FormulaInconsistency(f"exponent denominators must be 1 or 2: {w}")
-    return tuple(c.numerator for c in twice)
-
-
 @cache
 def _z_orbit(pair: DualPairSpec, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(sign(z), 2 z(rho_z)) over W(Z); it depends on the pair and m only."""
-    rz = _twice(rho_z(pair, m))
+    rz = _ints(rho_z(pair, m))
     return tuple((sign(sz), act(sz, rz)) for sz in z_weyl(pair, m))
 
 
 def numerator_terms(tc: ThetaCharacter) -> dict[Weight, Fraction]:
-    """Exponent -> coefficient of the numerator polynomial: each orbit of
-    the orbit table expanded once over W(K')."""
-    out: dict[Weight, Fraction] = {}
-    for v2, c in tc.orbit_table.items():
-        out.update(_alternating_orbit_terms(tc.pair, tuple(Fraction(x, 2) for x in v2), Fraction(c)))
-    return out
+    """Exponent -> coefficient of the numerator polynomial: the Fraction
+    view of ThetaCharacter.numerator, in its order."""
+    return {tuple(Fraction(x, 2) for x in e): Fraction(c) for e, c in tc.numerator.items()}
 
 
-def _alternating_orbit_terms(pair: DualPairSpec, v: Weight, coeff: Fraction) -> dict[Weight, Fraction]:
-    """coeff * sum_tau sign(tau) h^{tau(v)} over W(K')."""
-    out: dict[Weight, Fraction] = {}
+def _alternating_orbit_terms(pair: DualPairSpec, v: tuple, coeff) -> dict:
+    """coeff * sum_tau sign(tau) h^{tau(v)} over W(K'); v may be doubled."""
+    out: dict = {}
     for tau in kprime_weyl(pair):
         e = act(tau, v)
-        out[e] = out.get(e, Fraction(0)) + coeff * sign(tau)
+        out[e] = out.get(e, 0) + coeff * sign(tau)
     return {e: c for e, c in out.items() if c != 0}
 
 
@@ -333,33 +326,33 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
     raw = tc.numerator
     if not raw:
         raise FormulaInconsistency("empty numerator polynomial")
-    pairs = [weight_dot(e, chamber) for e in raw]
-    betas = noncompact_positive_roots(pair)
-    leads = [-weight_dot(b, chamber) / 2 for b in betas]
-    pad = max(pairs) - sum(leads) + (max((-l for l in leads), default=Fraction(0)))
-    trunc = max(Fraction(-exact_to) + pad, -min(pairs)) + 2
+    levels = [_level(e, chamber) for e in raw]
+    betas = [_ints(b, 1) for b in noncompact_positive_roots(pair)]
+    rises = [_level(b, chamber) for b in betas]
+    # doubled levels: each factor's leading term h^{-b/2} lowers the top, the deepest once more
+    pad = max(levels) + sum(rises) + max(rises, default=0)
+    trunc = Fraction(max(pad - 2 * Fraction(exact_to), -min(levels)), 2) + 2
     return divide_by_root_factors(N, chamber, trunc, raw, betas)
 
 
 def series_top_pairing(tc: ThetaCharacter) -> Fraction:
     """Chamber pairing of the leading term of the character series."""
     chamber = dominant_chamber(tc.pair.rank_gprime)
-    raw = tc.numerator
-    lead = sum(-weight_dot(b, chamber) / 2 for b in noncompact_positive_roots(tc.pair))
-    return max(weight_dot(e, chamber) for e in raw) + lead
+    lead = sum(_level(_ints(b, 1), chamber) for b in noncompact_positive_roots(tc.pair))
+    return Fraction(max(_level(e, chamber) for e in tc.numerator) - lead, 2)
 
 
-def _block_sorted(pair: DualPairSpec, e: Weight) -> tuple[Weight, WeylElement]:
-    """Dominant representative of e under W(K') block sorting, with the
-    block permutation tau such that act(tau, v) == e."""
+def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ...], WeylElement]:
+    """Dominant representative of the doubled exponent e under W(K') block
+    sorting, with the block permutation tau such that act(tau, v) == e."""
     N = pair.rank_gprime
     perm = [0] * N
-    v = [Fraction(0)] * N
+    v = [0] * N
     for start, stop in pair.kprime_blocks:
         chunk = sorted(range(start, stop), key=lambda i: (-e[i], i))
         vals = [e[i] for i in chunk]
         if any(vals[i] == vals[i + 1] for i in range(len(vals) - 1)):
-            raise FormulaInconsistency(f"non-regular K' orbit at exponent {e}")
+            raise FormulaInconsistency(f"non-regular K' orbit at doubled exponent {e}")
         for off, i in enumerate(chunk):
             v[start + off] = e[i]
             perm[i] = start + off
@@ -380,25 +373,26 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     chamber = dominant_chamber(pair.rank_gprime)
     floor = series_top_pairing(tc) - depth
     S = character_series(tc, floor - 1)
-    dominant: list[tuple[Fraction, Weight]] = []
-    for e, c in S.terms.items():
-        d = weight_dot(e, chamber)
-        if d < floor:
+    lowest = int(2 * floor)
+    dominant: list[tuple[int, tuple[int, ...]]] = []
+    for e, c in S.doubled.items():
+        d = _level(e, chamber)
+        if d < lowest:
             continue
         v, tau = _block_sorted(pair, e)
         if v == e:
             dominant.append((d, e))
-        elif sign(tau) * S.terms.get(v, 0) != c:
-            raise FormulaInconsistency(f"term {e} breaks the W(K') alternation of {v}")
+        elif sign(tau) * S.doubled.get(v, 0) != c:
+            raise FormulaInconsistency(f"doubled term {e} breaks the W(K') alternation of {v}")
     if not dominant:
         raise FormulaInconsistency("no K-types found above the requested depth")
     dominant.sort(reverse=True)
     rho0 = compact_rho(pair)
-    C = S.terms[dominant[0][1]]
+    C = S.doubled[dominant[0][1]]
     result: dict[Weight, int] = {}
     for _, v in dominant:
-        mult = S.terms[v] / C
-        gamma = tuple(x - y for x, y in zip(v, rho0))
+        mult = Fraction(S.doubled[v], C)
+        gamma = tuple(Fraction(x, 2) - y for x, y in zip(v, rho0))
         if mult.denominator != 1 or mult < 0:
             raise FormulaInconsistency(f"multiplicity {mult} for K-type {gamma}")
         result[gamma] = int(mult)

@@ -64,6 +64,12 @@ def test_parse_error_exit_code():
         ["support", "--pair", "oeven", "--n", "1", "--nu", "1"],
         ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "0"],
         ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "-5"],
+        ["theta", *uu, "--nu", "0"],
+        ["theta", *uu, "--nu", "0", "--random-regular", "-2"],
+        ["numerator", *uu, "--nu", "0"],
+        ["char", "--family", "A", "--rank", "2", "--weight", "1,0"],
+        ["theta-closed-u1", "--p", "1", "--q", "1", "--lam1", "0", "--m", "1"],
+        ["ktypes", *uu, "--nu", "2", "--truncation", "-3"],
     ):
         out = capture(argv)
         assert out.returncode == 2, (argv, out.stderr)
@@ -109,7 +115,9 @@ def test_oracle_and_rdv_cli():
 
 def test_run_function_in_process():
     assert run(["roots", "--family", "A", "--rank", "2"]) == 0
-    assert run(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"]) == 1  # no point source
+    with pytest.raises(SystemExit) as exc:  # no point source is an argument error
+        run(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"])
+    assert exc.value.code == 2
 
 
 def test_uh_ostar_with_m_one_is_a_domain_error():
@@ -119,8 +127,9 @@ def test_uh_ostar_with_m_one_is_a_domain_error():
 
 
 # JSON of the formal subcommands, one small instance per pair kind, frozen
-# from the Fraction-arithmetic Laurent engine: an engine change that moves
-# a single byte fails here
+# from the Fraction-arithmetic Laurent engine, then instances of rank 3 and 5
+# frozen from the doubled-int engine before the K-type reader moved to it:
+# an engine change that moves a single byte fails here
 FORMAL_GOLDEN = [
     (
         "ktypes --pair uu --n 1 --p 1 --q 1 --nu 2 --truncation 10",
@@ -159,6 +168,29 @@ FORMAL_GOLDEN = [
         "constant --pair ostar --n 1 --m 3 --nu 2 --truncation 6",
         '{"meta":{"m_embed":1,"nu":["2"],"pair":"ostar","truncation":6},"results":[{"constant":"1/2","lambda_min":["-1","-1","-3"]}],'
         '"warnings":["lambda-min taken from the expansion\'s top K-type"]}',
+    ),
+    (
+        "ktypes --pair uu --n 2 --p 3 --q 2 --nu 1/2,1/2 --truncation 2",
+        '{"meta":{"depth":2,"m_embed":2,"nu":["1/2","1/2"],"pair":"uu"},"results":[{"ktype":["-1","-1","-1","1","1"],"multiplicity":1},'
+        '{"ktype":["-1","-1","-2","2","1"],"multiplicity":1},'
+        '{"ktype":["-1","-1","-3","3","1"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "constant --pair uu --n 2 --p 3 --q 2 --nu 1/2,1/2 --truncation 2",
+        '{"meta":{"m_embed":2,"nu":["1/2","1/2"],"pair":"uu","truncation":2},"results":[{"constant":"1/2","lambda_min":["-1","-1","-1","1","1"]}],'
+        '"warnings":["lambda-min taken from the expansion\'s top K-type"]}',
+    ),
+    (
+        "ktypes --pair ostar --n 2 --m 3 --nu 1,1 --truncation 4",
+        '{"meta":{"depth":4,"m_embed":2,"nu":["1","1"],"pair":"ostar"},"results":[{"ktype":["-2","-3","-3"],"multiplicity":1},'
+        '{"ktype":["-2","-4","-4"],"multiplicity":1},'
+        '{"ktype":["-3","-3","-4"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "ktypes --pair oeven --n 2 --m 3 --nu 1,0 --truncation 4",
+        '{"meta":{"depth":4,"m_embed":2,"nu":["1","0"],"pair":"oeven"},"results":[{"ktype":["-2","-2","-3"],"multiplicity":1},'
+        '{"ktype":["-2","-2","-5"],"multiplicity":1},{"ktype":["-2","-3","-4"],"multiplicity":1},'
+        '{"ktype":["-2","-2","-7"],"multiplicity":1}],"warnings":[]}',
     ),
 ]
 

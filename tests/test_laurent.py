@@ -120,6 +120,10 @@ def test_mul_with_a_non_integral_coefficient_stays_exact():
     assert dict(prod.terms) == {weight(1, "-1/2"): F(1, 9), weight("1/2", 0): F(1, 3)}
     assert all(type(c) is Fraction for c in prod.terms.values())
     assert all(type(x) is Fraction for e in prod.terms for x in e)
+    # equal series compare equal whatever denominators their factors carried
+    assert series_mul(monomial(2, cham, T, weight(1, 0), F(1, 3)), monomial(2, cham, T, weight(0, 1), 3)) == monomial(
+        2, cham, T, weight(1, 1)
+    )
 
 
 def test_fraction_truncation_keeps_its_own_level():
@@ -138,3 +142,10 @@ def test_exponent_denominator_three_is_refused():
         series(1, (1,), 5, {(F(1, 3),): F(1)})
     with pytest.raises(ValueError, match="denominators"):
         monomial(2, (2, 1), 5, (F(2, 3), F(0)))
+    # reading such an exponent is not an error: no term has it
+    assert monomial(1, (1,), 5, weight("1/2")).coefficient((F(1, 3),)) == 0
+
+
+def test_half_integral_root_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"root must be integral: \(Fraction\(1, 2\),\)"):
+        expand_inverse_root_factor((F(1, 2),), (1,), 3)

@@ -330,17 +330,21 @@ def test_normalizing_constant_below_series_truncation_is_too_small():
 
 
 def test_constant_op_compiles_the_numerator_once(monkeypatch, capsys):
+    from functools import cached_property
+
     from howechar import thetachar as tmod
     from howechar.cli import run
 
     calls = []
-    original = tmod.numerator_terms
+    original = tmod.ThetaCharacter.numerator.func
 
     def counted(tc):
         calls.append(tc)
         return original(tc)
 
-    monkeypatch.setattr(tmod, "numerator_terms", counted)
+    expansion = cached_property(counted)
+    expansion.__set_name__(tmod.ThetaCharacter, "numerator")
+    monkeypatch.setattr(tmod.ThetaCharacter, "numerator", expansion)
     assert run(["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -351,7 +355,6 @@ def test_ktype_expansion_rejects_a_broken_alternation(monkeypatch):
     # not W(K')-alternating; the expansion must refuse it
     from howechar import thetachar as tmod
     from howechar.laurent import LaurentSeries
-    from howechar.rootsys import weight_dot
 
     tc = theta_character(dual_pair("uu", 1, p=2, q=1), [F("1/2")])
     assert ktype_expansion(tc, depth=10)
@@ -359,11 +362,11 @@ def test_ktype_expansion_rejects_a_broken_alternation(monkeypatch):
 
     def flipped(tc, exact_to):
         S = original(tc, exact_to)
-        off = [e for e in S.terms if tmod._block_sorted(tc.pair, e)[0] != e]
-        e = max(off, key=lambda e: weight_dot(e, S.chamber))
-        terms = dict(S.terms)
-        terms[e] = -terms[e]
-        return LaurentSeries(S.rank, S.chamber, S.truncation, terms)
+        off = [e for e in S.doubled if tmod._block_sorted(tc.pair, e)[0] != e]
+        e = max(off, key=lambda e: sum(x * d for x, d in zip(e, S.chamber)))
+        doubled = dict(S.doubled)
+        doubled[e] = -doubled[e]
+        return LaurentSeries(S.rank, S.chamber, S.truncation, doubled, S.den)
 
     monkeypatch.setattr(tmod, "character_series", flipped)
     with pytest.raises(FormulaInconsistency, match="alternation"):
@@ -455,12 +458,33 @@ def test_character_series_matches_a_recurrence_oracle(kind, n, kw, nu):
     assert len(U) >= 10  # 13 to 60 terms compared
 
 
+@pytest.mark.parametrize(
+    "kind, n, kw, nu",
+    [
+        ("uu", 2, dict(p=3, q=2), [F(1, 2), F(1, 2)]),
+        ("oeven-sp", 2, dict(m=3), [1, 0]),
+        ("oodd-sp", 2, dict(m=2), [2, 1]),
+        ("uh-ostar", 2, dict(m=3), [1, 1]),
+    ],
+    ids=["uu(2;3,2)", "oeven-sp(2;3)", "oodd-sp(2;2)", "uh-ostar(2;3)"],
+)
+def test_character_series_is_held_in_doubled_ints(kind, n, kw, nu):
+    from howechar.thetachar import series_top_pairing
+
+    tc = theta_character(dual_pair(kind, n, **kw), nu)
+    assert all(type(x) is int for e, c in tc.numerator.items() for x in (*e, c))
+    S = character_series(tc, series_top_pairing(tc) - 6)
+    assert S.den == 1 and len(S) >= 10
+    assert all(type(x) is int for e, c in S.doubled.items() for x in (*e, c))
+    assert dict(S.terms) == {tuple(F(x, 2) for x in e): F(c) for e, c in S.doubled.items()}
+
+
 def test_block_sorting_rejects_non_regular_orbits():
     from howechar.thetachar import _block_sorted
 
     pair = dual_pair("uu", 1, p=2, q=1)
     with pytest.raises(FormulaInconsistency):
-        _block_sorted(pair, weight(1, 1, 0))
+        _block_sorted(pair, (2, 2, 0))  # the doubled exponent (1, 1, 0)
 
 
 def test_theta_independent_of_eta_coset_representatives():
