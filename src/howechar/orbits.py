@@ -97,25 +97,55 @@ def _max_workers() -> int:
         return 1
 
 
+def _gaussian_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Real and imaginary parts of count complex Gaussian n x n matrices.
+
+    The two standard_normal((count, n, n)) draws are the real and the
+    imaginary part, in that order; one transpose-copy puts them in a
+    contiguous (part, column, row, sample) array.  The 1/sqrt(2) of a
+    standard complex Gaussian is left out: Gram-Schmidt does not see the
+    scale.
+    """
+    re = rng.standard_normal((count, n, n))
+    im = rng.standard_normal((count, n, n))
+    return np.array((re.T, im.T))
+
+
+def _gram_schmidt(re: np.ndarray, im: np.ndarray, columns: int) -> None:
+    """Orthonormalise the first columns of a (column, row, sample) batch in place.
+
+    Each column is projected off the earlier ones twice before it is
+    normalised, which keeps the columns orthogonal to machine precision
+    (Giraud, Langou and Rozloznik, 2005); one pass loses about three digits.
+    """
+    for j in range(columns):
+        vr, vi = re[j], im[j]
+        for _ in range(2):
+            for i in range(j):
+                qr, qi = re[i], im[i]
+                # c = <q, v> = sum_k conj(q_k) v_k, then v -= q c
+                cr = (qr * vr).sum(0) + (qi * vi).sum(0)
+                ci = (qr * vi).sum(0) - (qi * vr).sum(0)
+                vr -= qr * cr - qi * ci
+                vi -= qr * ci + qi * cr
+        norm = np.sqrt((vr * vr).sum(0) + (vi * vi).sum(0))
+        vr /= norm
+        vi /= norm
+
+
 def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of Haar-distributed n x n unitaries: Gram-Schmidt on Gaussian columns.
 
     The Q factor of a complex Gaussian matrix whose R has a positive
     diagonal is Haar-distributed (Mezzadri, Notices AMS 54, 2007), and that
-    Q is what Gram-Schmidt over the columns produces.  Each column is
-    projected off the earlier ones twice before it is normalised, which
-    keeps the columns orthogonal to machine precision (Giraud, Langou and
-    Rozloznik, 2005); one pass loses about three digits.
+    Q is what Gram-Schmidt over the columns produces.  The work is done in
+    real float64 arithmetic on contiguous (column, row, sample) arrays of
+    the real and imaginary parts; the result is assembled as a complex
+    (sample, row, column) array.
     """
-    u = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-    for j in range(n):
-        v = u[:, :, j]
-        for _ in range(2):
-            for i in range(j):
-                q = u[:, :, i]
-                v -= q * np.einsum("bk,bk->b", q.conj(), v)[:, None]
-        v /= np.sqrt(np.einsum("bk,bk->b", v.real, v.real) + np.einsum("bk,bk->b", v.imag, v.imag))[:, None]
-    return u
+    re, im = _gaussian_columns(n, count, rng)
+    _gram_schmidt(re, im, n)
+    return (re + 1j * im).T.copy()
 
 
 @dataclass(frozen=True)
@@ -170,6 +200,11 @@ def orbit_integral_oracle(
     method='hciz' evaluates the determinant closed form.  Both are scaled
     by the Liouville prefactor over the superfactorial constant so they
     target the same quantity as rdv_fourier.
+
+    The trace needs only the weights |u_ij|^2.  Each batch is sampled as in
+    haar_unitaries, in real (column, row, sample) arrays, but only the first
+    n-1 columns are orthonormalised: every row of U has unit norm, so the
+    last column's weights are 1 - sum_{j<n-1} |u_ij|^2.
     """
     lam_f = [float(v) for v in lam]
     x = [float(v) for v in X]
@@ -184,16 +219,24 @@ def orbit_integral_oracle(
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    lam_v, xdiag = np.array(lam_f), np.array(x)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    xdiag = np.array(x)
     # fixed-size chunks, chunk i drawn from the i-th child seed, so the
     # samples do not depend on how many workers share the chunks
     counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
 
     def run_batch(count: int, ss: np.random.SeedSequence) -> complex:
-        u = haar_unitaries(n, count, np.random.default_rng(ss))
-        # diag(U diag(lam) U*) = |U|^2 lam
-        return complex(np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag).sum())
+        re, im = _gaussian_columns(n, count, np.random.default_rng(ss))
+        _gram_schmidt(re, im, n - 1)
+        # diag(U diag(lam) U*) = |U|^2 lam; with the last column's weights
+        # 1 - sum_{j<n-1} |u_ij|^2 the phase x.|U|^2 lam is
+        # lam_last sum(x) + sum_{j<n-1} (lam_j - lam_last) x.|u_.j|^2
+        phase = np.full(count, lam_f[-1] * math.fsum(x))
+        for j in range(n - 1):
+            phase += (lam_f[j] - lam_f[-1]) * (xdiag @ (re[j] * re[j] + im[j] * im[j]))
+        return complex(np.cos(phase).sum(), np.sin(phase).sum())
 
     workers = _max_workers()
     if workers == 1:

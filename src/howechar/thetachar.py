@@ -35,7 +35,7 @@ from .howe import (
     z_weyl,
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import RootSystem, Weight, WeylElement, act, inverse, perm_sign, rho, sign
+from .rootsys import RootSystem, Weight, WeylElement, act, inverse, rho, sign
 
 SINGULAR_GUARD = 1e-9
 
@@ -203,33 +203,53 @@ class IdentityVerdict:
 
 
 @cache
-def _signed_permutations(M: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(pi, sgn pi) over the permutations of range(M), in itertools order."""
-    return tuple((pi, perm_sign(pi)) for pi in itertools.permutations(range(M)))
+def _leibniz_codes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N*(N-1)! Leibniz terms of sum_b (-1)^b V_b(h), as base-N codes.
+
+    An exponent tuple e is coded as sum_i e_i N^(N-1-i); the codes stay
+    below N^N, inside int64 for N <= 15, where N! terms are already far
+    beyond memory.  Row b holds the codes of V_b's terms, V_b = sum_pi
+    sgn(pi) prod_i x_i^{M-1-pi(i)} over the M = N-1 variables other than b,
+    with slot b's digit left 0; the second array holds the signs
+    (-1)^b sgn(pi), and the third the place values N^(N-1-b) at which h_b^k
+    enters.
+    """
+    M = N - 1
+    perms = np.array(list(itertools.permutations(range(M))), dtype=np.int64)
+    inversions = np.zeros(len(perms), dtype=np.int64)
+    for i, j in itertools.combinations(range(M), 2):
+        inversions += perms[:, i] > perms[:, j]
+    sgn = 1 - 2 * (inversions % 2)
+    place = N ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    rows = M - 1 - perms
+    codes = np.stack([rows @ np.delete(place, b) for b in range(N)])
+    signs = np.outer((-1) ** np.arange(N), sgn)
+    return codes, signs, place
 
 
 @cache
 def _identity_polynomial_coefficients(N: int, k: int) -> dict[tuple[int, ...], int]:
-    """Exponent -> coefficient of sum_b (-1)^{b-1} h_b^k V_b(h), via Leibniz.
+    """Exponent -> coefficient of sum_b (-1)^b h_b^k V_b(h), via Leibniz.
 
     V_b is the Vandermonde product over the variables other than b, expanded
     as a determinant: V_b = sum over permutations pi of sgn(pi) * prod_i
     x_i^{M-1-pi(i)} with M = N-1.  The full polynomial is the asserted
     identity times the total Vandermonde, so the identity holds exactly when
-    every coefficient cancels.  The result depends on N = p+q only, so it is
-    memoised; the signed permutations depend on M only and are shared by
-    every k.
+    every coefficient cancels.  Every one of the N*(N-1)! terms is formed as
+    a base-N code (0 <= k <= N-1 keeps every digit below N), the signed
+    terms are summed per code with one sort, and only the surviving codes
+    are decoded to exponent tuples.  The result depends on N = p+q only, so
+    it is memoised; the codes depend on N only and are shared by every k.
     """
-    M = N - 1
-    # V_b's exponent row for pi, in the order of the variables other than b
-    rows = [(tuple(M - 1 - i for i in pi), sgn) for pi, sgn in _signed_permutations(M)]
-    coeffs: dict[tuple[int, ...], int] = {}
-    for b in range(N):
-        sb = (-1) ** b
-        for row, sgn in rows:
-            key = (*row[:b], k, *row[b:])
-            coeffs[key] = coeffs.get(key, 0) + sb * sgn
-    return {e: c for e, c in coeffs.items() if c != 0}
+    if not 0 <= k < N:
+        raise ValueError(f"k must be in [0, {N - 1}], got {k}")
+    codes, signs, place = _leibniz_codes(N)
+    unique, index = np.unique(codes + k * place[:, None], return_inverse=True)
+    coeffs = np.zeros(len(unique), dtype=np.int64)
+    np.add.at(coeffs, index.ravel(), signs.ravel())
+    alive = coeffs != 0
+    digits = unique[alive, None] // place % N
+    return dict(zip(map(tuple, digits.tolist()), coeffs[alive].tolist()))
 
 
 def vandermonde_identity_check(
@@ -241,6 +261,10 @@ def vandermonde_identity_check(
     sides sum to the constant 1 instead and the check reports that the
     identity is not asserted there (with a counterexample).
     """
+    if mode not in ("deterministic-grid", "random-rational"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "random-rational" and n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     N = p + q
@@ -266,8 +290,6 @@ def vandermonde_identity_check(
             if lhs != rhs:
                 return IdentityVerdict("failed", f"trial {trial} at {vals}: {lhs} != {rhs}")
         return IdentityVerdict("holds", f"exact at {n_points} random rational points")
-    if mode != "deterministic-grid":
-        raise ValueError(f"unknown mode {mode!r}")
     leftover = _identity_polynomial_coefficients(N, k)
     if leftover:
         return IdentityVerdict("failed", f"{len(leftover)} surviving coefficients")

@@ -53,7 +53,7 @@ def test_domain_error_exit_code_and_name():
     assert out.returncode == 1 and "ValueError" in out.stderr
 
 
-def test_parse_error_exit_code():
+def test_parse_error_exit_code(capsys):
     uu = ["--pair", "uu", "--n", "1", "--p", "1", "--q", "1"]
     for argv in (
         ["theta", "--pair", "nope", "--n", "1", "--nu", "0"],
@@ -71,10 +71,15 @@ def test_parse_error_exit_code():
         ["theta-closed-u1", "--p", "1", "--q", "1", "--lam1", "0", "--m", "1"],
         ["ktypes", *uu, "--nu", "2", "--truncation", "-3"],
     ):
-        out = capture(argv)
-        assert out.returncode == 2, (argv, out.stderr)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
         if argv[0] == "oracle":
-            assert "--samples" in out.stderr
+            assert "--samples" in err
+    # the module entry point turns the same parse error into exit status 2
+    out = capture(["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "0"])
+    assert out.returncode == 2 and "--samples" in out.stderr
 
 
 def test_singular_point_domain_error():

@@ -141,19 +141,31 @@ def test_haar_unitaries_match_phase_fixed_qr():
 
 
 def test_monte_carlo_stderr_matches_two_pass_formula():
-    # redraw the oracle's chunks and take the mean and the two-pass standard
-    # error from the full sample array; lam = (1, 0) makes the scale factor 1
-    n, lam, x, n_samples, seed, batch = 2, [1, 0], [1.0, -0.5], 20_000, 5, 4096
-    est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc", batch=batch)
+    # redraw the oracle's chunks as full unitaries and take the mean and the
+    # two-pass standard error from the full sample array; lam has a nonzero
+    # last entry, so the weights of the last column enter the integrand
+    n_samples, seed, batch = 20_000, 5, 4096
     counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
     children = np.random.SeedSequence(seed).spawn(len(counts))
-    lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
-    u = np.concatenate([haar_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
-    vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
-    mean = vals.mean()
-    stderr = np.sqrt((np.abs(vals - mean) ** 2).mean() / len(vals))
-    assert abs(est.value - mean) <= 1e-14
-    assert abs(est.stderr - stderr) <= 1e-12 * stderr
+    for n in (1, 2, 3, 5):
+        lam, x = [2, -1, 0, 3, 1][:n][::-1], [1.0, -0.5, 0.7, -1.3, 0.2][:n]
+        est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc", batch=batch)
+        rs = build_root_system("A", n)
+        superfactorial = math.prod(math.factorial(k) for k in range(1, n))
+        scale = liouville_normalization(orbit_parameter(rs, rs, lam)) / superfactorial
+        lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
+        u = np.concatenate([haar_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
+        vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
+        mean = scale * vals.mean()
+        stderr = scale * np.sqrt((np.abs(vals - vals.mean()) ** 2).mean() / len(vals))
+        assert abs(est.value - mean) <= 1e-14, n
+        if n == 1:
+            # the integrand is the constant e^{i lam x}: both standard errors
+            # are zero up to the roundoff of 1 - |mean|^2, a few ulp
+            floor = math.sqrt(8 * np.finfo(float).eps / n_samples)
+            assert est.stderr <= floor and stderr <= floor
+        else:
+            assert abs(est.stderr - stderr) <= 1e-12 * stderr, n
 
 
 def test_hciz_matches_rdv():
@@ -216,3 +228,10 @@ def test_monte_carlo_rejects_non_positive_sample_counts():
     for n_samples in (0, -5):
         with pytest.raises(ValueError, match="n_samples"):
             orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=n_samples, method="mc")
+
+
+def test_monte_carlo_rejects_non_positive_batch_sizes():
+    # a chunk size below 1 draws no samples, so it is refused by name
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match="batch"):
+            orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=100, method="mc", batch=batch)

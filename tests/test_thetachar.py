@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -207,6 +208,45 @@ def test_vandermonde_identity_leibniz_coefficients():
     for p in range(1, 5):
         out = vandermonde_identity_check(p, 5 - p, 3, mode="deterministic-grid")
         assert (out.status, out.detail) == ("proved", "all Leibniz coefficients cancel (degree-bounded polynomial)")
+
+
+def _naive_leibniz_coefficients(N, k):
+    # sum_b (-1)^b h_b^k V_b expanded one permutation at a time, with tuple
+    # keys and perm_sign: a reference that shares no code with the prover
+    from howechar.rootsys import perm_sign
+
+    M = N - 1
+    coeffs = {}
+    for b in range(N):
+        for pi in itertools.permutations(range(M)):
+            row = tuple(M - 1 - i for i in pi)
+            key = (*row[:b], k, *row[b:])
+            coeffs[key] = coeffs.get(key, 0) + (-1) ** b * perm_sign(pi)
+    return {e: c for e, c in coeffs.items() if c != 0}
+
+
+def test_leibniz_prover_matches_the_naive_expansion():
+    from howechar.thetachar import _identity_polynomial_coefficients
+
+    for N in range(2, 7):
+        for k in range(N):
+            got = _identity_polynomial_coefficients(N, k)
+            assert got == _naive_leibniz_coefficients(N, k), (N, k)
+            assert all(type(c) is int and all(type(e) is int for e in key) for key, c in got.items())
+    assert len(_identity_polynomial_coefficients(4, 3)) == 24  # k = N-1: the total Vandermonde
+    with pytest.raises(ValueError, match="k must be"):  # a digit of N or more would alias
+        _identity_polynomial_coefficients(4, 4)
+
+
+def test_identity_check_refuses_vacuous_arguments():
+    # "holds" at no random points is a verdict on no evidence, and the mode
+    # is checked before the range test on k
+    for n_points in (0, -3):
+        with pytest.raises(ValueError, match="n_points"):
+            vandermonde_identity_check(2, 2, 1, mode="random-rational", n_points=n_points)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="mode"):
+            vandermonde_identity_check(1, 1, k, mode="bogus")
 
 
 def test_ktype_ladder_uu111():
