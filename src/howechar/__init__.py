@@ -14,7 +14,6 @@ from .errors import (
     PoleAtPoint,
     QuadratureUnreliable,
     SingularPoint,
-    TruncationTooSmall,
 )
 from .howe import (
     CorrespondenceData,

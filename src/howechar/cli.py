@@ -158,11 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constant", help="normalizing constant from the minimal K-type")
     _add_pair_options(sp)
     sp.add_argument("--lambda-min", dest="lambda_min", help="comma-separated rationals; default from the expansion")
-    sp.add_argument("--truncation", type=int, default=40)
+    sp.add_argument(
+        "--truncation",
+        type=int,
+        default=40,
+        help="accepted and echoed in meta, but no longer changes the result: the coefficient at lambda-min + rho_0 "
+        "is read exactly from one series cut at its level",
+    )
 
     sp = sub.add_parser("ktypes", help="K-type multiplicities to a chamber depth")
     _add_pair_options(sp)
-    sp.add_argument("--truncation", type=int, default=20)
+    sp.add_argument(
+        "--truncation", type=int, default=20, help="chamber depth below the top of the series; every K-type down to it is exact"
+    )
 
     sp = sub.add_parser("support", help="support interval and exponent table")
     _add_pair_options(sp)
@@ -284,7 +292,7 @@ def run(argv: list[str]) -> int:
             else:
                 lam_min = next(iter(ktype_expansion(tc, depth=4)))
                 warnings.append("lambda-min taken from the expansion's top K-type")
-            C = normalizing_constant(tc, lam_min, depth=args.truncation)
+            C = normalizing_constant(tc, lam_min)
             meta = {"pair": args.pair, "nu": [str(v) for v in nu], "m_embed": tc.m, "truncation": args.truncation}
             _emit(meta, [{"lambda_min": [str(c) for c in lam_min], "constant": str(C)}], warnings, args.format)
         elif args.command == "ktypes":

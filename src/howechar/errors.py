@@ -33,10 +33,6 @@ class NotMinimalKType(HowecharError):
     """The pairing coefficient for the proposed minimal K-type vanishes."""
 
 
-class TruncationTooSmall(HowecharError):
-    """A formally computed coefficient did not stabilize under the truncation bound."""
-
-
 class FormulaInconsistency(HowecharError):
     """An exact consistency check failed (non-integral or negative multiplicity)."""
 

@@ -247,25 +247,17 @@ def project(pair: DualPairSpec, m: int, theta_prime: Sequence[float]) -> tuple[f
     return tuple(theta_prime[i] for i in embedded_index_set(pair, m))
 
 
-def _block_permutations(rank: int, blocks: Sequence[tuple[int, int]], cap: int) -> Iterator[WeylElement]:
+def kprime_weyl(pair: DualPairSpec) -> Iterator[WeylElement]:
+    """W(K', h') as block permutations of the big torus coordinates; the
+    K' blocks tile the coordinates, so an element is one permutation per
+    block, concatenated."""
+    blocks = pair.kprime_blocks
     sizes = [stop - start for start, stop in blocks]
-    if max(sizes) > cap:
-        raise CapExceeded(f"block sizes {sizes} exceed enumeration cap {cap}")
+    if max(sizes) > ENUMERATION_CAP:
+        raise CapExceeded(f"block sizes {sizes} exceed enumeration cap {ENUMERATION_CAP}")
     pools = [itertools.permutations(range(start, stop)) for start, stop in blocks]
-    fixed = sorted(set(range(rank)) - {i for start, stop in blocks for i in range(start, stop)})
     for combo in itertools.product(*pools):
-        perm = [0] * rank
-        for (start, stop), images in zip(blocks, combo):
-            for off, img in enumerate(images):
-                perm[start + off] = img
-        for i in fixed:
-            perm[i] = i
-        yield WeylElement(tuple(perm), (1,) * rank)
-
-
-def kprime_weyl(pair: DualPairSpec, cap: int = ENUMERATION_CAP) -> Iterator[WeylElement]:
-    """W(K', h') as block permutations of the big torus coordinates."""
-    yield from _block_permutations(pair.rank_gprime, pair.kprime_blocks, cap)
+        yield WeylElement(tuple(itertools.chain.from_iterable(combo)), (1,) * pair.rank_gprime)
 
 
 def kprime_weyl_order(pair: DualPairSpec) -> int:
@@ -276,7 +268,7 @@ def kprime_weyl_order(pair: DualPairSpec) -> int:
     return math.factorial(pair.m)
 
 
-def eta_cosets(pair: DualPairSpec, interval: SupportInterval, m: int, cap: int = ENUMERATION_CAP) -> list[WeylElement]:
+def eta_cosets(pair: DualPairSpec, interval: SupportInterval, m: int) -> list[WeylElement]:
     """Coset representatives for the outer alternating sum of the character.
 
     UU: representatives of {eta in S_n : eta({1..m}) contains {1..lo} and
@@ -294,8 +286,8 @@ def eta_cosets(pair: DualPairSpec, interval: SupportInterval, m: int, cap: int =
     constrained to an even count.
     """
     n = pair.n
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"n = {n} exceeds enumeration cap {ENUMERATION_CAP}")
     lo, hi = interval.lo, interval.hi
     if pair.kind is PairKind.UU:
         if not lo <= m <= hi:
@@ -348,7 +340,7 @@ def rho_z(pair: DualPairSpec, m: int) -> Weight:
     return rho(z_subsystem(pair, m))
 
 
-def z_weyl(pair: DualPairSpec, m: int, cap: int = ENUMERATION_CAP) -> Iterator[WeylElement]:
+def z_weyl(pair: DualPairSpec, m: int) -> Iterator[WeylElement]:
     """Weyl group of the vanishing-root subsystem, acting on all coordinates.
 
     UU leaves an A-type block on the complement indices; the Sp pairs leave
@@ -358,8 +350,8 @@ def z_weyl(pair: DualPairSpec, m: int, cap: int = ENUMERATION_CAP) -> Iterator[W
     N = pair.rank_gprime
     complement = sorted(set(range(N)) - set(embedded_index_set(pair, m)))
     k = len(complement)
-    if k > cap:
-        raise CapExceeded(f"complement size {k} exceeds enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise CapExceeded(f"complement size {k} exceeds enumeration cap {ENUMERATION_CAP}")
     if k == 0:
         yield WeylElement(tuple(range(N)), (1,) * N)
         return

@@ -2,9 +2,14 @@
 
 A series is a sum of rational multiples of monomials h^e whose exponents
 have denominators 1 or 2.  A chamber direction d orders the exponents by the
-pairing <e, d>; terms with <e, d> < -T are dropped, so the ring operations
-are exact for every exponent kept.  Inverse root factors
+pairing <e, d>; terms with <e, d> < -T are dropped.  Inverse root factors
 1/(h^{b/2} - h^{-b/2}) expand as geometric series toward -infinity along d.
+
+`divide_by_root_factors` is exact at every level it keeps, and so are
+`series_add` and `series_mul` when no term of their inputs was dropped, as
+for finite sums above the truncation.  The product of two truncated
+infinite series is not: a dropped term of one, times a term of the other
+above level 0, can land above the truncation.
 
 `LaurentSeries` stores the doubled form: `doubled` maps the int tuple 2e to
 an int numerator over one denominator `den`, and a term is kept when its int
@@ -29,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ChamberMismatch, NonConvergentDirection, PoleAtPoint
-from .rootsys import Weight, weight_dot
+from .rootsys import Weight
 
 Chamber = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -82,9 +87,6 @@ class LaurentSeries:
         halves = {x: Fraction(x, 2) for e in self.doubled for x in e}
         view = {tuple(map(halves.__getitem__, e)): Fraction(c, self.den) for e, c in self.doubled.items()}
         return MappingProxyType(view)
-
-    def depth(self, exponent: Weight) -> Fraction:
-        return weight_dot(exponent, self.chamber)
 
     def coefficient(self, exponent: Weight) -> Fraction:
         try:
@@ -195,17 +197,19 @@ def divide_by_root_factors(
     """doubled / prod over roots of (h^{b/2} - h^{-b/2}), expanded along chamber.
 
     doubled maps 2e to an int coefficient and each root is an int tuple.
-    The same series as multiplying the series of those terms by
-    expand_inverse_root_factor(b, chamber, truncation) for each root in
-    turn, with the terms kept in doubled form from the first factor to the
-    last.
+    Every coefficient kept is exact.  Each factor term only lowers the
+    level, so a running-product term below the floor never contributes above
+    it; and each geometric factor is expanded down to the floor minus the
+    top level of the running product, so no pair landing at or above the
+    floor is missed, even when the numerator sits above level 0.
     """
     cham = tuple(int(c) for c in chamber)
     trunc = Fraction(truncation)
     floor = _floor(trunc)
     acc = {e: c for e, c in doubled.items() if _level(e, cham) >= floor}
     for beta in roots:
-        acc = _product(acc, _geometric(beta, cham, floor), cham, floor)
+        top = max((_level(e, cham) for e in acc), default=0)
+        acc = _product(acc, _geometric(beta, cham, floor - top), cham, floor)
     return LaurentSeries(rank, cham, trunc, acc)
 
 

@@ -184,11 +184,11 @@ def weyl_order(rs: RootSystem) -> int:
     return 2 ** (n - 1) * math.factorial(n)
 
 
-def weyl_elements(rs: RootSystem, cap: int = ENUMERATION_CAP) -> Iterator[WeylElement]:
+def weyl_elements(rs: RootSystem) -> Iterator[WeylElement]:
     """Stream the full Weyl group in a deterministic (lex) order."""
     n = rs.rank
-    if n > cap:
-        raise CapExceeded(f"rank {n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"rank {n} exceeds enumeration cap {ENUMERATION_CAP}")
     for perm in itertools.permutations(range(n)):
         if rs.family == "A":
             yield WeylElement(perm, (1,) * n)

@@ -14,12 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    FormulaInconsistency,
-    NotMinimalKType,
-    SingularPoint,
-    TruncationTooSmall,
-)
+from .errors import FormulaInconsistency, NotMinimalKType, SingularPoint
 from .howe import (
     CorrespondenceData,
     DualPairSpec,
@@ -35,7 +30,7 @@ from .howe import (
     z_weyl,
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import RootSystem, Weight, WeylElement, act, inverse, rho, sign
+from .rootsys import RootSystem, Weight, WeylElement, act, inverse, rho, sign, weight_dot
 
 SINGULAR_GUARD = 1e-9
 
@@ -338,23 +333,16 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
 
     This equals Delta_0(h) * Theta(h) up to the instance's constant; its
     alternating W(K')-orbits are the K-type characters times Delta_0.  The
-    result is exact at every chamber pairing >= exact_to: the internal
-    truncation is padded so no product of kept factor terms is missing
-    above that level.
+    series is truncated at chamber pairing exact_to, and every coefficient
+    it keeps is exact (see divide_by_root_factors).
     """
     pair = tc.pair
     N = pair.rank_gprime
-    chamber = dominant_chamber(N)
     raw = tc.numerator
     if not raw:
         raise FormulaInconsistency("empty numerator polynomial")
-    levels = [_level(e, chamber) for e in raw]
     betas = [_ints(b, 1) for b in noncompact_positive_roots(pair)]
-    rises = [_level(b, chamber) for b in betas]
-    # doubled levels: each factor's leading term h^{-b/2} lowers the top, the deepest once more
-    pad = max(levels) + sum(rises) + max(rises, default=0)
-    trunc = Fraction(max(pad - 2 * Fraction(exact_to), -min(levels)), 2) + 2
-    return divide_by_root_factors(N, chamber, trunc, raw, betas)
+    return divide_by_root_factors(N, dominant_chamber(N), -Fraction(exact_to), raw, betas)
 
 
 def series_top_pairing(tc: ThetaCharacter) -> Fraction:
@@ -393,14 +381,10 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     """
     pair = tc.pair
     chamber = dominant_chamber(pair.rank_gprime)
-    floor = series_top_pairing(tc) - depth
-    S = character_series(tc, floor - 1)
-    lowest = int(2 * floor)
+    S = character_series(tc, series_top_pairing(tc) - depth)
     dominant: list[tuple[int, tuple[int, ...]]] = []
     for e, c in S.doubled.items():
         d = _level(e, chamber)
-        if d < lowest:
-            continue
         v, tau = _block_sorted(pair, e)
         if v == e:
             dominant.append((d, e))
@@ -421,37 +405,35 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     return result
 
 
-def _coefficient_at(tc: ThetaCharacter, v: Weight, depth: int) -> Fraction:
-    S = character_series(tc, -depth)
-    level = S.depth(v)
-    if level < -S.truncation:
-        raise TruncationTooSmall(
-            f"({', '.join(map(str, v))}) at level {level} is below the series truncation {-S.truncation}; raise the depth"
-        )
-    return S.coefficient(v)
-
-
-def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence, depth: int = 40) -> Fraction:
+def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
     """C with C * theta_eval-normalization carrying the minimal K-type once.
 
     The character series is W(K')-alternating, so the minimal K-type's
     orbit is read off its dominant member: C is the inverse of the series
-    coefficient at lam_min + rho_0, and the caller's lam_min must be the
-    minimal K-type.  The coefficient must agree between depth and depth+5
-    and be nonzero; one below the series truncation is unknown, not zero,
-    and raises TruncationTooSmall.
+    coefficient at lam_min + rho_0, read exactly from one series truncated
+    at that level.  lam_min must be the minimal K-type: a zero coefficient
+    there, or a nonzero block-decreasing term strictly above its level (a
+    higher K-type), raises NotMinimalKType.
     """
+    pair = tc.pair
     lam = tuple(Fraction(v) for v in lam_min)
-    if len(lam) != tc.pair.rank_gprime:
+    if len(lam) != pair.rank_gprime:
         raise ValueError("dimension mismatch")
-    for start, stop in tc.pair.kprime_blocks:
+    for start, stop in pair.kprime_blocks:
         if any(lam[i] < lam[i + 1] for i in range(start, stop - 1)):
             raise ValueError(f"{lam} is not dominant for K'")
-    v = tuple(a + b for a, b in zip(lam, compact_rho(tc.pair)))
-    c1 = _coefficient_at(tc, v, depth)
-    c2 = _coefficient_at(tc, v, depth + 5)
-    if c1 != c2:
-        raise TruncationTooSmall(f"coefficient moved from {c1} to {c2}; raise the depth")
-    if c1 == 0:
-        raise NotMinimalKType(f"{lam} pairs to zero; not the minimal K-type")
-    return 1 / c1
+    rho0 = compact_rho(pair)
+    v = tuple(a + b for a, b in zip(lam, rho0))
+    chamber = dominant_chamber(pair.rank_gprime)
+    level = weight_dot(v, chamber)
+    S = character_series(tc, level)
+    for e in S.doubled:
+        if _level(e, chamber) > 2 * level and all(
+            e[i] > e[i + 1] for start, stop in pair.kprime_blocks for i in range(start, stop - 1)
+        ):
+            above = ", ".join(str(Fraction(x, 2) - y) for x, y in zip(e, rho0))
+            raise NotMinimalKType(f"({', '.join(map(str, lam))}) lies below the K-type ({above}); not the minimal K-type")
+    c = S.coefficient(v)
+    if c == 0:
+        raise NotMinimalKType(f"({', '.join(map(str, lam))}) pairs to zero; not the minimal K-type")
+    return 1 / c

@@ -133,8 +133,10 @@ def test_uh_ostar_with_m_one_is_a_domain_error():
 
 # JSON of the formal subcommands, one small instance per pair kind, frozen
 # from the Fraction-arithmetic Laurent engine, then instances of rank 3 and 5
-# frozen from the doubled-int engine before the K-type reader moved to it:
-# an engine change that moves a single byte fails here
+# frozen from the doubled-int engine before the K-type reader moved to it,
+# and a rank-4 uh-ostar instance whose numerator lies far below level 0,
+# cross-checked against a deeper series: an engine change that moves a
+# single byte fails here
 FORMAL_GOLDEN = [
     (
         "ktypes --pair uu --n 1 --p 1 --q 1 --nu 2 --truncation 10",
@@ -196,6 +198,22 @@ FORMAL_GOLDEN = [
         '{"meta":{"depth":4,"m_embed":2,"nu":["1","0"],"pair":"oeven"},"results":[{"ktype":["-2","-2","-3"],"multiplicity":1},'
         '{"ktype":["-2","-2","-5"],"multiplicity":1},{"ktype":["-2","-3","-4"],"multiplicity":1},'
         '{"ktype":["-2","-2","-7"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "ktypes --pair ostar --n 4 --m 4 --nu 1,1,1,1 --truncation 8",
+        '{"meta":{"depth":8,"m_embed":4,"nu":["1","1","1","1"],"pair":"ostar"},'
+        '"results":[{"ktype":["-5","-5","-5","-5"],"multiplicity":1},{"ktype":["-5","-5","-6","-6"],"multiplicity":1},'
+        '{"ktype":["-5","-5","-7","-7"],"multiplicity":1}],"warnings":[]}',
+    ),
+    (
+        "ktypes --pair ostar --n 4 --m 4 --nu 1,1,1,1 --truncation 20",
+        '{"meta":{"depth":20,"m_embed":4,"nu":["1","1","1","1"],"pair":"ostar"},'
+        '"results":[{"ktype":["-5","-5","-5","-5"],"multiplicity":1},{"ktype":["-5","-5","-6","-6"],"multiplicity":1},'
+        '{"ktype":["-5","-5","-7","-7"],"multiplicity":1},{"ktype":["-5","-5","-8","-8"],"multiplicity":1},'
+        '{"ktype":["-6","-6","-6","-6"],"multiplicity":1},{"ktype":["-5","-5","-9","-9"],"multiplicity":1},'
+        '{"ktype":["-6","-6","-7","-7"],"multiplicity":1},{"ktype":["-5","-5","-10","-10"],"multiplicity":1},'
+        '{"ktype":["-6","-6","-8","-8"],"multiplicity":1},{"ktype":["-5","-5","-11","-11"],"multiplicity":1},'
+        '{"ktype":["-6","-6","-9","-9"],"multiplicity":1},{"ktype":["-7","-7","-7","-7"],"multiplicity":1}],"warnings":[]}',
     ),
 ]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from howechar.errors import FormulaInconsistency, NotMinimalKType, SingularPoint, TruncationTooSmall
+from howechar.errors import FormulaInconsistency, NotMinimalKType, SingularPoint
 from howechar.howe import dual_pair, kprime_weyl
 from howechar.rootsys import act, weight
 from howechar.thetachar import (
@@ -314,11 +314,9 @@ def test_normalizing_constant_rank_one():
     for lam1 in (1, 2, -2):
         tc = theta_character(pair, [lam1])
         lam_min = next(iter(ktype_expansion(tc, depth=4)))
-        c1 = normalizing_constant(tc, lam_min, depth=30)
-        assert c1 != 0
-        assert c1 == normalizing_constant(tc, lam_min, depth=36)
+        assert normalizing_constant(tc, lam_min) != 0
         with pytest.raises(NotMinimalKType):
-            normalizing_constant(tc, tuple(x - 1 for x in lam_min), depth=30)
+            normalizing_constant(tc, tuple(x - 1 for x in lam_min))
 
 
 def test_normalizing_constant_degenerate_block_is_one():
@@ -337,36 +335,33 @@ def test_normalizing_constant_degenerate_block_is_one():
 
 
 def test_normalizing_constant_truncation_guard():
-    # pairing against a K-type far down the ladder needs a deep series;
-    # at depth 10 the coefficient still moves between 10 and 15
-    pair = dual_pair("uu", 1, p=2, q=1)
-    tc = theta_character(pair, [F("5/2")])
-    deep = list(ktype_expansion(tc, depth=14))[-1]
-    with pytest.raises((TruncationTooSmall, NotMinimalKType)):
-        normalizing_constant(tc, deep, depth=10)
+    # the last K-type at depth 14 has a nonzero coefficient of its own, so
+    # only the higher K-types in the series show that it is not minimal
+    tc = theta_character(dual_pair("uu", 1, p=2, q=1), [F("5/2")])
+    deep = weight("-1/2", "-29/2", "25/2")
+    kt = ktype_expansion(tc, depth=14)
+    assert list(kt)[-1] == deep and kt[deep] == 1
+    with pytest.raises(NotMinimalKType, match="lies below the K-type"):
+        normalizing_constant(tc, deep)
 
 
 def test_normalizing_constant_reads_the_whole_orbit():
     # the coefficient at lam_min + rho_0 carries the whole alternating
-    # orbit; the shallowest depths cut lower orbit members off the series
+    # orbit, whose lower members the series at that level leaves out
     tc = theta_character(dual_pair("uh-ostar", 2, m=3), [1, 1])
     lam_min = weight(-2, -3, -3)
     assert next(iter(ktype_expansion(tc, depth=4))) == lam_min
-    for depth in (2, 7, 16):
-        assert normalizing_constant(tc, lam_min, depth=depth) == 1
+    assert normalizing_constant(tc, lam_min) == 1
     tc = theta_character(dual_pair("uh-ostar", 1, m=3), [2])
     lam_min = next(iter(ktype_expansion(tc, depth=4)))
-    assert normalizing_constant(tc, lam_min, depth=0) == F(1, 2)
+    assert normalizing_constant(tc, lam_min) == F(1, 2)
 
 
-def test_normalizing_constant_below_series_truncation_is_too_small():
-    # lam_min + rho_0 = (-3, -5) sits at chamber level -11, below the
-    # depth-2 series' truncation: its coefficient is unknown, not zero
+def test_normalizing_constant_reads_one_exact_coefficient():
+    # lam_min + rho_0 = (-3, -5) sits at chamber level -11; the one series
+    # cut there holds its coefficient exactly
     tc = theta_character(dual_pair("oodd-sp", 2, m=2), [2, 1])
-    lam_min = weight("-7/2", "-9/2")
-    with pytest.raises(TruncationTooSmall):
-        normalizing_constant(tc, lam_min, depth=2)
-    assert normalizing_constant(tc, lam_min, depth=12) != 0
+    assert normalizing_constant(tc, weight("-7/2", "-9/2")) == 1
 
 
 def test_constant_op_compiles_the_numerator_once(monkeypatch, capsys):
@@ -496,6 +491,42 @@ def test_character_series_matches_a_recurrence_oracle(kind, n, kw, nu):
     engine = {e: c for e, c in S.terms.items() if weight_dot(e, chamber) >= floor}
     assert engine == U
     assert len(U) >= 10  # 13 to 60 terms compared
+
+
+@pytest.mark.parametrize(
+    "kind, n, kw, nu",
+    [
+        ("uu", 2, dict(p=3, q=2), [F(1, 2), F(1, 2)]),
+        ("oeven-sp", 2, dict(m=3), [1, 0]),
+        ("oodd-sp", 2, dict(m=2), [2, 1]),
+        ("uh-ostar", 2, dict(m=3), [1, 1]),
+        ("uu", 1, dict(p=1, q=1), [-3]),
+    ],
+    ids=["uu(2;3,2)", "oeven-sp(2;3)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(1;1,1)"],
+)
+def test_division_is_exact_at_every_level_it_keeps(kind, n, kw, nu):
+    # a deeper division agrees with a shallower one on every level the
+    # shallower keeps; uu(1;1,1) nu=-3 has the numerator {(6, 0): 1} above
+    # level 0, where a factor cut at the floor alone loses the lowest rungs
+    from howechar.laurent import _ints, _level, divide_by_root_factors
+    from howechar.thetachar import noncompact_positive_roots, series_top_pairing
+
+    tc = theta_character(dual_pair(kind, n, **kw), nu)
+    N = tc.pair.rank_gprime
+    chamber = tuple(range(N, 0, -1))
+    betas = [_ints(b, 1) for b in noncompact_positive_roots(tc.pair)]
+    floor = int(2 * (series_top_pairing(tc) - 20))  # a doubled level
+
+    def divide(lowest):
+        return divide_by_root_factors(N, chamber, F(-lowest, 2), tc.numerator, betas).doubled
+
+    shallow = divide(floor)
+    deep = {e: c for e, c in divide(floor - 20).items() if _level(e, chamber) >= floor}
+    assert shallow == deep
+    if kind == "uu" and n == 1:
+        assert tc.numerator == {(6, 0): 1}
+        # the 21 rungs h^{(5/2-k, 1/2+k)} at doubled levels 11 - 2k >= 11 - 40
+        assert shallow == {(5 - 2 * k, 1 + 2 * k): 1 for k in range(21)}
 
 
 @pytest.mark.parametrize(
