@@ -89,7 +89,7 @@ def _embedding_choice(args):
     return args.m if PAIR_ALIASES[args.pair] is PairKind.UU else None
 
 
-def _points_from_args(args, rs, warnings: list[str]):
+def _points_from_args(args, rs):
     if args.theta is not None:
         return [tuple(_floats(args.theta))]
     rng = random.Random(args.seed)
@@ -201,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _theta_like(args, evaluator, warnings):
+def _theta_like(args, evaluator):
     pair = _pair_from_args(args)
     nu = _fractions(args.nu)
     tc = theta_character(pair, nu, m=_embedding_choice(args))
-    points = _points_from_args(args, pair.rs_gprime, warnings)
+    points = _points_from_args(args, pair.rs_gprime)
     results = [{"point": list(pt), "value": _cvalue(evaluator(tc, pt))} for pt in points]
     meta = {
         "pair": args.pair,
@@ -254,7 +254,7 @@ def run(argv: list[str]) -> int:
         elif args.command == "char":
             rs = build_root_system(args.family, args.rank)
             lam = tuple(_fractions(args.weight))
-            points = _points_from_args(args, rs, warnings)
+            points = _points_from_args(args, rs)
             results = [
                 {"point": list(pt), "value": _cvalue(weyl_character(rs, lam, pt))} for pt in points
             ]
@@ -266,14 +266,14 @@ def run(argv: list[str]) -> int:
             meta = {"family": args.family, "rank": args.rank, "weight": [str(c) for c in lam]}
             _emit(meta, [{"dimension": weyl_dimension(rs, lam)}], warnings, args.format)
         elif args.command == "theta":
-            meta, results = _theta_like(args, theta_eval, warnings)
+            meta, results = _theta_like(args, theta_eval)
             _emit(meta, results, warnings, args.format)
         elif args.command == "numerator":
-            meta, results = _theta_like(args, theta_numerator_form, warnings)
+            meta, results = _theta_like(args, theta_numerator_form)
             _emit(meta, results, warnings, args.format)
         elif args.command == "theta-closed-u1":
             rs = build_root_system("A", args.p + args.q)
-            points = _points_from_args(args, rs, warnings)
+            points = _points_from_args(args, rs)
             results = [
                 {
                     "point": list(pt),

@@ -18,7 +18,6 @@ calibration the tests pin at a reference point.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,8 +26,9 @@ import numpy as np
 
 from .errors import MonteCarloOnly, SingularPoint
 from .rootsys import RootSystem, Weight, act, build_root_system, weight_dot, weyl_elements
+from .torus import SINGULAR_GUARD
 
-REG_TOL = 1e-9
+MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _coset_representatives(rs_k: RootSystem, lam: Weight):
 
 
 def rdv_fourier(
-    rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float], tol: float = REG_TOL
+    rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float], tol: float = SINGULAR_GUARD
 ) -> complex:
     """The Weyl-sum expression for the orbit Fourier transform at X."""
     if len(X) != rs_g.rank:
@@ -87,14 +87,6 @@ def rdv_fourier(
             den *= 1j * sum(float(c) * v for c, v in zip(walpha, x))
         total += num / den
     return (-1) ** op.n_noncompact * total
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("HOWECHAR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _gaussian_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,7 +184,6 @@ def orbit_integral_oracle(
     n_samples: int = 10**6,
     seed: int = 0,
     method: str = "mc",
-    batch: int = 4096,
 ) -> OracleEstimate:
     """Independent estimates of the orbit Fourier transform for U(n).
 
@@ -219,15 +210,11 @@ def orbit_integral_oracle(
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     xdiag = np.array(x)
-    # fixed-size chunks, chunk i drawn from the i-th child seed, so the
-    # samples do not depend on how many workers share the chunks
-    counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
+    counts = [min(MC_BATCH, n_samples - i) for i in range(0, n_samples, MC_BATCH)]
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    def run_batch(count: int, ss: np.random.SeedSequence) -> complex:
+    sums = []
+    for count, ss in zip(counts, seeds):
         re, im = _gaussian_columns(n, count, np.random.default_rng(ss))
         _gram_schmidt(re, im, n - 1)
         # diag(U diag(lam) U*) = |U|^2 lam; with the last column's weights
@@ -236,16 +223,7 @@ def orbit_integral_oracle(
         phase = np.full(count, lam_f[-1] * math.fsum(x))
         for j in range(n - 1):
             phase += (lam_f[j] - lam_f[-1]) * (xdiag @ (re[j] * re[j] + im[j] * im[j]))
-        return complex(np.cos(phase).sum(), np.sin(phase).sum())
-
-    workers = _max_workers()
-    if workers == 1:
-        sums = list(map(run_batch, counts, seeds))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            sums = list(ex.map(run_batch, counts, seeds))
+        sums.append(complex(np.cos(phase).sum(), np.sin(phase).sum()))
     mean = complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)) / n_samples
     # every sample has modulus one, so mean |v - mean|^2 = 1 - |mean|^2
     stderr = math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / n_samples)

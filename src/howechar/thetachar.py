@@ -31,8 +31,7 @@ from .howe import (
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
 from .rootsys import RootSystem, Weight, WeylElement, act, inverse, rho, sign, weight_dot
-
-SINGULAR_GUARD = 1e-9
+from .torus import SINGULAR_GUARD, guarded_denominator
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,8 @@ def theta_eval(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
     tests and callers compare ratios unless a normalization was computed.
     """
     theta = _point(tc, theta_prime)
-    _, _, roots = tc._float_table
-    sines = np.sin(roots @ theta / 2)
-    if not np.abs(sines).min() >= SINGULAR_GUARD:  # also refuses a NaN angle
-        raise SingularPoint("point too close to the singular set")
-    return _numerator_value(tc, theta) / complex(np.prod(2j * sines))
+    den = guarded_denominator(tc._float_table[2], theta)
+    return _numerator_value(tc, theta) / den
 
 
 def theta_numerator_form(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:

@@ -14,12 +14,14 @@ import cmath
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import SingularPoint
 from .rootsys import RootSystem, Weight
 
 TorusPoint = tuple[float, ...]
 
-REGULARITY_TOL = 1e-9
+SINGULAR_GUARD = 1e-9  # smallest |sin(alpha(theta)/2)|, or |alpha(X)| on the Lie algebra, an evaluator accepts
 
 
 def pairing(mu: Weight, theta: Sequence[float]) -> float:
@@ -47,7 +49,16 @@ def weyl_denominator(rs: RootSystem, theta: Sequence[float]) -> complex:
     return out
 
 
-def is_regular(rs: RootSystem, theta: Sequence[float], tol: float = REGULARITY_TOL) -> bool:
+def guarded_denominator(roots: np.ndarray, theta: np.ndarray) -> complex:
+    """Product of 2i sin(alpha(theta)/2) over the rows of roots; raises
+    SingularPoint when a |sine| is below SINGULAR_GUARD or an angle is NaN."""
+    sines = np.sin(roots @ theta / 2)
+    if not np.abs(sines).min(initial=1.0) >= SINGULAR_GUARD:
+        raise SingularPoint("point too close to the singular set")
+    return complex(np.prod(2j * sines))
+
+
+def is_regular(rs: RootSystem, theta: Sequence[float], tol: float = SINGULAR_GUARD) -> bool:
     """True iff |sin(alpha(theta)/2)| >= tol for every positive root."""
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -38,7 +38,6 @@ from .howe import (
 from .orbits import orbit_integral_oracle, orbit_parameter, rdv_fourier
 from .rootsys import act, build_root_system, compose, rho, sign, weight, weyl_elements
 from .thetachar import (
-    SINGULAR_GUARD,
     ThetaCharacter,
     eta_exponents,
     ktype_expansion,
@@ -129,7 +128,7 @@ def orthogonality(quick: bool) -> str:
         gram = nums @ nums.conj().T / pts.shape[0] / math.factorial(n)
         err = np.abs(gram - np.eye(len(nums))).max()
         _require(err <= tol, n, err)
-    return f"torus_inner_product Gram matrix == identity for |lam| <= {top}, n <= {ns[-1]}, N = {n_grid} ({tol:g})"
+    return f"Gram matrix of Weyl numerators on the grid == identity for |lam| <= {top}, n <= {ns[-1]}, N = {n_grid} ({tol:g})"
 
 
 def partial_fraction_identity(quick: bool) -> str:
@@ -197,7 +196,7 @@ def theta_double_sum(tc: ThetaCharacter, theta_prime) -> complex:
     touch the embedded torus.  It shares no evaluation code with theta_eval.
     """
     pair, rs = tc.pair, tc.pair.rs_gprime
-    if not is_regular(rs, theta_prime, SINGULAR_GUARD):
+    if not is_regular(rs, theta_prime):
         raise SingularPoint("point too close to the singular set")
     embedded = embedded_index_set(pair, tc.m)
     touching = [alpha for alpha in rs.positive_roots if any(alpha[i] != 0 for i in embedded)]

@@ -110,6 +110,18 @@ def test_dim_and_rho_and_char():
     assert abs(doc["results"][0]["value"]["re"] - expect.real) < 1e-9
 
 
+def test_char_beyond_the_weyl_group_enumeration_cap(capsys):
+    # A11 has 11! Weyl elements; the determinant numerator never lists them
+    argv = ["char", "--family", "A", "--rank", "11", "--weight", "1" + ",0" * 10, "--random-regular", "3", "--seed", "4"]
+    assert run(argv) == 0
+    import cmath
+
+    for row in json.loads(capsys.readouterr().out)["results"]:
+        expect = sum(cmath.exp(1j * t) for t in row["point"])
+        got = complex(row["value"]["re"], row["value"]["im"])
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
 def test_oracle_and_rdv_cli():
     doc = json.loads(capture(["rdv", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5"]).stdout)
     ref = doc["results"][0]["value"]

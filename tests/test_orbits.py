@@ -7,6 +7,7 @@ import pytest
 
 from howechar.errors import MonteCarloOnly, SingularPoint
 from howechar.orbits import (
+    MC_BATCH,
     haar_unitaries,
     hciz_mean,
     liouville_normalization,
@@ -144,12 +145,12 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
     # redraw the oracle's chunks as full unitaries and take the mean and the
     # two-pass standard error from the full sample array; lam has a nonzero
     # last entry, so the weights of the last column enter the integrand
-    n_samples, seed, batch = 20_000, 5, 4096
-    counts = [min(batch, n_samples - i) for i in range(0, n_samples, batch)]
+    n_samples, seed = 20_000, 5
+    counts = [min(MC_BATCH, n_samples - i) for i in range(0, n_samples, MC_BATCH)]
     children = np.random.SeedSequence(seed).spawn(len(counts))
     for n in (1, 2, 3, 5):
         lam, x = [2, -1, 0, 3, 1][:n][::-1], [1.0, -0.5, 0.7, -1.3, 0.2][:n]
-        est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc", batch=batch)
+        est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc")
         rs = build_root_system("A", n)
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
         scale = liouville_normalization(orbit_parameter(rs, rs, lam)) / superfactorial
@@ -205,33 +206,7 @@ def test_small_x_limit_matches_liouville_scaling():
     assert abs(val - liouville_normalization(op)) <= 1e-2 * liouville_normalization(op)
 
 
-def test_threads_env_var_respected(monkeypatch):
-    monkeypatch.setenv("HOWECHAR_THREADS", "2")
-    est = orbit_integral_oracle(2, [1, 0], [0.9, -0.4], n_samples=50_000, seed=3, method="mc")
-    op = orbit_parameter(A2, A2, [1, 0])
-    truth = rdv_fourier(A2, A2, op, [0.9, -0.4])
-    assert abs(est.value - truth) <= 4 * est.stderr
-
-
-def test_monte_carlo_bytes_do_not_depend_on_thread_count(monkeypatch):
-    # samples come in fixed-size chunks with one child seed each, so the
-    # worker count only changes who draws a chunk, not what is drawn
-    runs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("HOWECHAR_THREADS", threads)
-        runs.append(orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=20_000, seed=3, method="mc", batch=1000))
-    assert runs[0].value == runs[1].value
-    assert runs[0].stderr == runs[1].stderr
-
-
 def test_monte_carlo_rejects_non_positive_sample_counts():
     for n_samples in (0, -5):
         with pytest.raises(ValueError, match="n_samples"):
             orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=n_samples, method="mc")
-
-
-def test_monte_carlo_rejects_non_positive_batch_sizes():
-    # a chunk size below 1 draws no samples, so it is refused by name
-    for batch in (0, -1):
-        with pytest.raises(ValueError, match="batch"):
-            orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=100, method="mc", batch=batch)

@@ -8,7 +8,7 @@ import pytest
 
 from howechar.errors import CapExceeded, SingularPoint
 from howechar.rootsys import act, build_root_system, weight, weyl_elements
-from howechar.torus import random_regular
+from howechar.torus import random_regular, weyl_denominator
 from howechar.weylchar import (
     QuadratureGrid,
     character_numerators_on_grid,
@@ -51,6 +51,8 @@ def test_weyl_character_rejects_bad_input():
         weyl_character(A2, weight(0, 1), (1.0, 2.0))
     with pytest.raises(SingularPoint):
         weyl_character(A2, weight(1, 0), (1.0, 1.0))
+    with pytest.raises(SingularPoint):  # a NaN angle is no regular point
+        weyl_character(A2, weight(1, 0), (1.0, float("nan")))
 
 
 def test_weyl_dimension_examples():
@@ -72,6 +74,39 @@ def test_character_matches_schur_at_random_points():
             a = weyl_character(A3, weight(*lam), theta)
             b = schur_oracle(lam, x)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+def _random_dominant(family: str, rank: int, rng: random.Random, half: bool, last_sign: int) -> tuple:
+    """Decreasing parts in [0, 4], shifted by 1/2 when half; A may go negative,
+    and D's last part takes last_sign."""
+    shift = Fraction(1, 2) if half else 0
+    parts = sorted((rng.randint(0, 4) + shift for _ in range(rank)), reverse=True)
+    if family == "A":
+        return tuple(c - 2 for c in parts)
+    if family == "D":
+        parts[-1] *= last_sign
+    return tuple(parts)
+
+
+def test_determinant_numerator_matches_weyl_group_sum():
+    # weyl_character times the product denominator is the Weyl numerator;
+    # character_numerators_on_grid sums it over W, element by element
+    rng = random.Random(13)
+    cases = [("A", n, False, 1) for n in range(1, 6)]
+    cases += [("B", n, half, 1) for n in range(1, 5) for half in (False, True)]
+    cases += [("C", n, False, 1) for n in range(1, 5)]
+    cases += [("D", n, half, s) for n in range(2, 5) for half in (False, True) for s in (1, -1)]
+    for family, n, half, last_sign in cases:
+        rs = build_root_system(family, n)
+        lams = [_random_dominant(family, n, rng, half, last_sign) for _ in range(3)]
+        if family == "D" and not half:
+            lams.append((2,) * (n - 1) + (0,))
+        for lam in lams:
+            for _ in range(4):
+                theta = random_regular(rs, rng, 5e-2)
+                a = weyl_character(rs, lam, theta) * weyl_denominator(rs, theta)
+                b = character_numerators_on_grid(rs, lam, np.array([theta]))[0]
+                assert abs(a - b) <= 1e-10 * abs(b), (family, n, lam, theta)
 
 
 def test_weyl_invariance_of_character():
