@@ -93,7 +93,7 @@ def _points_from_args(args, rs):
     if args.theta is not None:
         return [tuple(_floats(args.theta))]
     rng = random.Random(args.seed)
-    return [random_regular(rs, rng, 0.05) for _ in range(args.random_regular)]
+    return [random_regular(rs, rng) for _ in range(args.random_regular)]
 
 
 def _add_point_options(sp) -> None:

@@ -25,11 +25,13 @@ from typing import Iterator, Sequence
 from .errors import CapExceeded, FormulaInconsistency, NotInCorrespondence
 from .rootsys import (
     ENUMERATION_CAP,
+    Root,
     RootSystem,
     Weight,
     WeylElement,
     build_root_system,
     rho,
+    signed_permutations,
     weight_add,
 )
 
@@ -41,23 +43,23 @@ class PairKind(Enum):
     UH_OSTAR = "uh-ostar"
 
 
-# (family of g, family of g', compact roots of g' are A-type blocks)
-_PAIR_FAMILIES = {
-    PairKind.UU: ("A", "A"),
-    PairKind.OEVEN_SP: ("D", "C"),
-    PairKind.OODD_SP: ("B", "C"),
-    PairKind.UH_OSTAR: ("C", "D"),
+# family of g'; the compact roots of g' are A-type blocks
+_GPRIME_FAMILY = {
+    PairKind.UU: "A",
+    PairKind.OEVEN_SP: "C",
+    PairKind.OODD_SP: "C",
+    PairKind.UH_OSTAR: "D",
 }
 
 
-def _block_compact_roots(rank: int, blocks: Sequence[tuple[int, int]]) -> tuple[Weight, ...]:
+def _block_compact_roots(rank: int, blocks: Sequence[tuple[int, int]]) -> tuple[Root, ...]:
     """Positive roots e_i - e_j with i < j inside each [start, stop) block."""
     out = []
     for start, stop in blocks:
         for i in range(start, stop):
             for j in range(i + 1, stop):
-                v = [Fraction(0)] * rank
-                v[i], v[j] = Fraction(1), Fraction(-1)
+                v = [0] * rank
+                v[i], v[j] = 1, -1
                 out.append(tuple(v))
     return tuple(sorted(out))
 
@@ -81,16 +83,8 @@ class DualPairSpec:
         return self.p + self.q if self.kind is PairKind.UU else self.m
 
     @property
-    def rs_g(self) -> RootSystem:
-        fam = _PAIR_FAMILIES[self.kind][0]
-        if fam == "D" and self.n == 1:
-            # so(2) has no roots; keep an empty D-type placeholder
-            return RootSystem("D", 1, ())
-        return build_root_system(fam, self.n)
-
-    @property
     def rs_gprime(self) -> RootSystem:
-        return _gprime_root_system(_PAIR_FAMILIES[self.kind][1], self.rank_gprime, self.kprime_blocks)
+        return _gprime_root_system(_GPRIME_FAMILY[self.kind], self.rank_gprime, self.kprime_blocks)
 
     @property
     def kprime_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -251,21 +245,7 @@ def kprime_weyl(pair: DualPairSpec) -> Iterator[WeylElement]:
     """W(K', h') as block permutations of the big torus coordinates; the
     K' blocks tile the coordinates, so an element is one permutation per
     block, concatenated."""
-    blocks = pair.kprime_blocks
-    sizes = [stop - start for start, stop in blocks]
-    if max(sizes) > ENUMERATION_CAP:
-        raise CapExceeded(f"block sizes {sizes} exceed enumeration cap {ENUMERATION_CAP}")
-    pools = [itertools.permutations(range(start, stop)) for start, stop in blocks]
-    for combo in itertools.product(*pools):
-        yield WeylElement(tuple(itertools.chain.from_iterable(combo)), (1,) * pair.rank_gprime)
-
-
-def kprime_weyl_order(pair: DualPairSpec) -> int:
-    import math
-
-    if pair.kind is PairKind.UU:
-        return math.factorial(pair.p) * math.factorial(pair.q)
-    return math.factorial(pair.m)
+    yield from signed_permutations("A", pair.rank_gprime, pair.kprime_blocks)
 
 
 def eta_cosets(pair: DualPairSpec, interval: SupportInterval, m: int) -> list[WeylElement]:
@@ -325,7 +305,7 @@ def eta_cosets_brute_force(pair: DualPairSpec, interval: SupportInterval, m: int
     return len(images)
 
 
-def vanishing_positive_roots(pair: DualPairSpec, m: int) -> tuple[Weight, ...]:
+def vanishing_positive_roots(pair: DualPairSpec, m: int) -> tuple[Root, ...]:
     """Positive roots of g' that vanish on the embedded torus h'(m)."""
     embedded = set(embedded_index_set(pair, m))
     out = []
@@ -348,32 +328,11 @@ def z_weyl(pair: DualPairSpec, m: int) -> Iterator[WeylElement]:
     sign changes).
     """
     N = pair.rank_gprime
-    complement = sorted(set(range(N)) - set(embedded_index_set(pair, m)))
-    k = len(complement)
-    if k > ENUMERATION_CAP:
-        raise CapExceeded(f"complement size {k} exceeds enumeration cap {ENUMERATION_CAP}")
-    if k == 0:
-        yield WeylElement(tuple(range(N)), (1,) * N)
-        return
-    family = {"A": "A", "C": "C", "D": "D"}[_PAIR_FAMILIES[pair.kind][1]]
-    for perm_small in itertools.permutations(range(k)):
-        sign_pools: Iterator[tuple[int, ...]]
-        if family == "A":
-            sign_pools = iter([(1,) * k])
-        else:
-            sign_pools = itertools.product((1, -1), repeat=k)
-        for bits in sign_pools:
-            if family == "D" and bits.count(-1) % 2 != 0:
-                continue
-            perm = list(range(N))
-            signs = [1] * N
-            for slot, img in enumerate(perm_small):
-                perm[complement[slot]] = complement[img]
-                signs[complement[slot]] = bits[slot]
-            yield WeylElement(tuple(perm), tuple(signs))
+    free = sorted(set(range(N)) - set(embedded_index_set(pair, m)))  # one run of coordinates
+    start = free[0] if free else N
+    yield from signed_permutations(_GPRIME_FAMILY[pair.kind], N, [(start, start + len(free))])
 
 
 def z_subsystem(pair: DualPairSpec, m: int) -> RootSystem:
     """The vanishing-root subsystem packaged as a RootSystem on all coords."""
-    fam = {"A": "A", "C": "C", "D": "D"}[_PAIR_FAMILIES[pair.kind][1]]
-    return RootSystem(fam, pair.rank_gprime, tuple(sorted(vanishing_positive_roots(pair, m))))
+    return RootSystem(_GPRIME_FAMILY[pair.kind], pair.rank_gprime, tuple(sorted(vanishing_positive_roots(pair, m))))

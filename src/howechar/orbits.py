@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonteCarloOnly, SingularPoint
-from .rootsys import RootSystem, Weight, act, build_root_system, weight_dot, weyl_elements
+from .rootsys import Root, RootSystem, Weight, act, build_root_system, weight_dot, weyl_elements
 from .torus import SINGULAR_GUARD
 
 MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
@@ -34,7 +34,7 @@ MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
 @dataclass(frozen=True)
 class OrbitParameter:
     lam: Weight
-    roots: tuple[Weight, ...]  # P_lam, the roots paired positively with lam
+    roots: tuple[Root, ...]  # P_lam, the roots paired positively with lam
     n_noncompact: int
 
 
@@ -65,17 +65,16 @@ def _coset_representatives(rs_k: RootSystem, lam: Weight):
             yield w
 
 
-def rdv_fourier(
-    rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float], tol: float = SINGULAR_GUARD
-) -> complex:
-    """The Weyl-sum expression for the orbit Fourier transform at X."""
+def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float]) -> complex:
+    """The Weyl-sum expression for the orbit Fourier transform at X; raises
+    SingularPoint when |alpha(X)| < SINGULAR_GUARD for a root of P_lam."""
     if len(X) != rs_g.rank:
         raise ValueError("dimension mismatch")
     x = tuple(float(v) for v in X)
     if any(not math.isfinite(v) for v in x):
         raise ValueError("X must be finite")
     for alpha in op.roots:
-        if abs(sum(float(c) * v for c, v in zip(alpha, x))) < tol:
+        if abs(sum(float(c) * v for c, v in zip(alpha, x))) < SINGULAR_GUARD:
             raise SingularPoint(f"X pairs to ~0 with root {alpha}")
     total = complex(0.0)
     for w in _coset_representatives(rs_k, op.lam):

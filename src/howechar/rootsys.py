@@ -1,15 +1,17 @@
 """Classical root systems (types A, B, C, D) and their Weyl groups.
 
-Weights are plain tuples of ``fractions.Fraction``; A-type systems use the
-gl-style convention with n coordinates (roots e_i - e_j on n coordinates),
-so an "A" system of rank n means n coordinates and n(n-1)/2 positive roots.
+Roots are int tuples and weights tuples of ``fractions.Fraction`` (an int
+and an equal Fraction hash alike); A-type systems use the gl-style
+convention with n coordinates (roots e_i - e_j on n coordinates), so an "A"
+system of rank n means n coordinates and n(n-1)/2 positive roots.
 
 Weyl group elements are signed permutations acting by
 
     act(w, mu)_k = signs[k] * mu[perm[k]]        (0-based)
 
 which is the coordinate-shuffling action used throughout: the same formula
-acts on weights and on torus angle vectors.
+acts on weights and on torus angle vectors.  `signed_permutations` lists
+every Weyl group the library enumerates.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceeded
 
+Root = tuple[int, ...]
 Weight = tuple[Fraction, ...]
 
-ENUMERATION_CAP = 10  # ranks above this are refused by weyl_elements
+ENUMERATION_CAP = 10  # blocks of more coordinates are refused by signed_permutations
 
 
 def weight(*coords) -> Weight:
@@ -51,18 +54,18 @@ def weight_dot(a: Weight, b: Sequence) -> Fraction:
 class RootSystem:
     family: str  # 'A', 'B', 'C' or 'D'
     rank: int  # number of coordinates
-    positive_roots: tuple[Weight, ...]
-    compact_positive_roots: tuple[Weight, ...] = field(default=())
+    positive_roots: tuple[Root, ...]
+    compact_positive_roots: tuple[Root, ...] = field(default=())
 
-    def with_compact_roots(self, compact: Sequence[Weight]) -> "RootSystem":
-        pos = set(self.positive_roots)
+    def with_compact_roots(self, compact: Sequence[Sequence]) -> "RootSystem":
+        own = {alpha: alpha for alpha in self.positive_roots}  # kept as the system's int tuples
         for alpha in compact:
-            if alpha not in pos:
+            if tuple(alpha) not in own:
                 raise ValueError(f"{alpha} is not a positive root of this system")
-        return RootSystem(self.family, self.rank, self.positive_roots, tuple(compact))
+        return RootSystem(self.family, self.rank, self.positive_roots, tuple(own[tuple(a)] for a in compact))
 
     @property
-    def all_roots(self) -> tuple[Weight, ...]:
+    def all_roots(self) -> tuple[Root, ...]:
         return self.positive_roots + tuple(weight_neg(a) for a in self.positive_roots)
 
 
@@ -140,21 +143,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ValueError("family D needs rank >= 2")
     if family not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown family {family!r}")
-    roots: list[Weight] = []
+    roots: list[Root] = []
 
-    def e(i: int, c=1) -> list[Fraction]:
-        v = [Fraction(0)] * rank
-        v[i] = Fraction(c)
+    def e(i: int, c: int = 1) -> list[int]:
+        v = [0] * rank
+        v[i] = c
         return v
 
     for i in range(rank):
         for j in range(i + 1, rank):
             v = e(i)
-            v[j] = Fraction(-1)
+            v[j] = -1
             roots.append(tuple(v))
             if family in ("B", "C", "D"):
                 v = e(i)
-                v[j] = Fraction(1)
+                v[j] = 1
                 roots.append(tuple(v))
     if family == "B":
         roots.extend(tuple(e(i)) for i in range(rank))
@@ -184,19 +187,40 @@ def weyl_order(rs: RootSystem) -> int:
     return 2 ** (n - 1) * math.factorial(n)
 
 
+def signed_permutations(family: str, rank: int, blocks: Sequence[tuple[int, int]]) -> Iterator[WeylElement]:
+    """The Weyl group of type family on each block [start, stop) of
+    coordinates, the identity off the blocks: permutations for A, signed
+    permutations for B and C, and an even number of sign changes for D
+    (Humphreys, Reflection Groups and Coxeter Groups, 2.10).  Lex order, which
+    the orbit tables and their float sums follow: the first block slowest,
+    and in a block the permutations (itertools order) before the signs (1
+    before -1)."""
+    sizes = [stop - start for start, stop in blocks]
+    if max(sizes, default=0) > ENUMERATION_CAP:
+        raise CapExceeded(f"block sizes {sizes} exceed enumeration cap {ENUMERATION_CAP}")
+    sign_pools = [
+        [(1,) * k] if family == "A" else [s for s in itertools.product((1, -1), repeat=k) if family != "D" or s.count(-1) % 2 == 0]
+        for k in sizes
+    ]
+    perm, signs = list(range(rank)), [1] * rank
+
+    def walk(i: int) -> Iterator[WeylElement]:
+        if i == len(blocks):
+            yield WeylElement(tuple(perm), tuple(signs))
+            return
+        start, stop = blocks[i]
+        for images in itertools.permutations(range(start, stop)):
+            perm[start:stop] = images
+            for bits in sign_pools[i]:
+                signs[start:stop] = bits
+                yield from walk(i + 1)
+
+    return walk(0)
+
+
 def weyl_elements(rs: RootSystem) -> Iterator[WeylElement]:
     """Stream the full Weyl group in a deterministic (lex) order."""
-    n = rs.rank
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"rank {n} exceeds enumeration cap {ENUMERATION_CAP}")
-    for perm in itertools.permutations(range(n)):
-        if rs.family == "A":
-            yield WeylElement(perm, (1,) * n)
-            continue
-        for bits in itertools.product((1, -1), repeat=n):
-            if rs.family == "D" and bits.count(-1) % 2 != 0:
-                continue
-            yield WeylElement(perm, bits)
+    yield from signed_permutations(rs.family, rs.rank, [(0, rs.rank)])
 
 
 def is_dominant(rs: RootSystem, lam: Weight) -> bool:

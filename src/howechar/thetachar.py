@@ -30,8 +30,8 @@ from .howe import (
     z_weyl,
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import RootSystem, Weight, WeylElement, act, inverse, rho, sign, weight_dot
-from .torus import SINGULAR_GUARD, guarded_denominator
+from .rootsys import Root, RootSystem, Weight, act, inverse, perm_sign, rho, sign, weight_dot
+from .torus import SINGULAR_GUARD, guarded_denominator, root_rows
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class ThetaCharacter:
                 u = tuple(b + c for b, c in zip(base, w))
                 if any(len(set(u[start:stop])) < stop - start for start, stop in pair.kprime_blocks):
                     continue
-                v, tau = _block_sorted(pair, u)
-                table[v] = table.get(v, 0) + sgn_eta * sgn_z * sign(tau)
+                v, sgn_tau = _block_sorted(pair, u)
+                table[v] = table.get(v, 0) + sgn_eta * sgn_z * sgn_tau
         return {v: c for v, c in table.items() if c}
 
     @cached_property
@@ -83,8 +83,7 @@ class ThetaCharacter:
         table = self.orbit_table
         exps = np.array(list(table), dtype=float).reshape(len(table), self.pair.rank_gprime) / 2
         coeffs = np.array(list(table.values()), dtype=float)
-        roots = np.array(self.pair.rs_gprime.positive_roots, dtype=float)
-        return exps, coeffs, roots
+        return exps, coeffs, root_rows(self.pair.rs_gprime)
 
 
 def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> ThetaCharacter:
@@ -187,6 +186,9 @@ def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[flo
     return prefactor * total
 
 
+IDENTITY_RANDOM_POINTS = 20  # rational points per random-rational identity check
+
+
 @dataclass(frozen=True)
 class IdentityVerdict:
     status: str  # 'holds', 'proved' or 'not-in-asserted-range'
@@ -243,19 +245,16 @@ def _identity_polynomial_coefficients(N: int, k: int) -> dict[tuple[int, ...], i
     return dict(zip(map(tuple, digits.tolist()), coeffs[alive].tolist()))
 
 
-def vandermonde_identity_check(
-    p: int, q: int, k: int, mode: str = "deterministic-grid", seed: int = 0, n_points: int = 20
-) -> IdentityVerdict:
+def vandermonde_identity_check(p: int, q: int, k: int, mode: str = "deterministic-grid", seed: int = 0) -> IdentityVerdict:
     """Check sum_{b>p} h_b^k/prod(h_b-h_a) = -sum_{b<=p} h_b^k/prod(h_b-h_a).
 
     The identity is asserted only for 0 <= k <= p+q-2; at k = p+q-1 both
     sides sum to the constant 1 instead and the check reports that the
-    identity is not asserted there (with a counterexample).
+    identity is not asserted there (with a counterexample).  The
+    random-rational mode checks it exactly at IDENTITY_RANDOM_POINTS points.
     """
     if mode not in ("deterministic-grid", "random-rational"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "random-rational" and n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     N = p + q
@@ -271,7 +270,7 @@ def vandermonde_identity_check(
         import random
 
         rng = random.Random(seed)
-        for trial in range(n_points):
+        for trial in range(IDENTITY_RANDOM_POINTS):
             while True:
                 vals = [Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in range(N)]
                 if 0 not in vals and len(set(vals)) == N:
@@ -280,7 +279,7 @@ def vandermonde_identity_check(
             rhs = -partial_fraction_sum(vals, k, range(p))
             if lhs != rhs:
                 return IdentityVerdict("failed", f"trial {trial} at {vals}: {lhs} != {rhs}")
-        return IdentityVerdict("holds", f"exact at {n_points} random rational points")
+        return IdentityVerdict("holds", f"exact at {IDENTITY_RANDOM_POINTS} random rational points")
     leftover = _identity_polynomial_coefficients(N, k)
     if leftover:
         return IdentityVerdict("failed", f"{len(leftover)} surviving coefficients")
@@ -291,7 +290,7 @@ def vandermonde_identity_check(
 # formal series: numerator polynomial, normalizing constant, K-type expansion
 
 
-def noncompact_positive_roots(pair: DualPairSpec) -> tuple[Weight, ...]:
+def noncompact_positive_roots(pair: DualPairSpec) -> tuple[Root, ...]:
     rs = pair.rs_gprime
     compact = set(rs.compact_positive_roots)
     return tuple(a for a in rs.positive_roots if a not in compact)
@@ -337,20 +336,20 @@ def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
     raw = tc.numerator
     if not raw:
         raise FormulaInconsistency("empty numerator polynomial")
-    betas = [_ints(b, 1) for b in noncompact_positive_roots(pair)]
-    return divide_by_root_factors(N, dominant_chamber(N), -Fraction(exact_to), raw, betas)
+    return divide_by_root_factors(N, dominant_chamber(N), -Fraction(exact_to), raw, noncompact_positive_roots(pair))
 
 
 def series_top_pairing(tc: ThetaCharacter) -> Fraction:
     """Chamber pairing of the leading term of the character series."""
     chamber = dominant_chamber(tc.pair.rank_gprime)
-    lead = sum(_level(_ints(b, 1), chamber) for b in noncompact_positive_roots(tc.pair))
+    lead = sum(_level(b, chamber) for b in noncompact_positive_roots(tc.pair))
     return Fraction(max(_level(e, chamber) for e in tc.numerator) - lead, 2)
 
 
-def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ...], WeylElement]:
-    """Dominant representative of the doubled exponent e under W(K') block
-    sorting, with the block permutation tau such that act(tau, v) == e."""
+def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Dominant representative v of the doubled exponent e under W(K') block
+    sorting, with the sign of the block permutation tau such that
+    act(tau, v) == e."""
     N = pair.rank_gprime
     perm = [0] * N
     v = [0] * N
@@ -362,7 +361,7 @@ def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ..
         for off, i in enumerate(chunk):
             v[start + off] = e[i]
             perm[i] = start + off
-    return tuple(v), WeylElement(tuple(perm), (1,) * N)
+    return tuple(v), perm_sign(perm)
 
 
 def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
@@ -381,10 +380,10 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     dominant: list[tuple[int, tuple[int, ...]]] = []
     for e, c in S.doubled.items():
         d = _level(e, chamber)
-        v, tau = _block_sorted(pair, e)
+        v, sgn_tau = _block_sorted(pair, e)
         if v == e:
             dominant.append((d, e))
-        elif sign(tau) * S.doubled.get(v, 0) != c:
+        elif sgn_tau * S.doubled.get(v, 0) != c:
             raise FormulaInconsistency(f"doubled term {e} breaks the W(K') alternation of {v}")
     if not dominant:
         raise FormulaInconsistency("no K-types found above the requested depth")

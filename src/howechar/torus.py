@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,8 @@ from .rootsys import RootSystem, Weight
 TorusPoint = tuple[float, ...]
 
 SINGULAR_GUARD = 1e-9  # smallest |sin(alpha(theta)/2)|, or |alpha(X)| on the Lie algebra, an evaluator accepts
+SAMPLE_MARGIN = 0.05  # smallest |sin(alpha(theta)/2)| at a point random_regular returns
+SAMPLE_DRAWS = 10000  # draws random_regular makes before it gives up
 
 
 def pairing(mu: Weight, theta: Sequence[float]) -> float:
@@ -49,28 +52,46 @@ def weyl_denominator(rs: RootSystem, theta: Sequence[float]) -> complex:
     return out
 
 
+@cache
+def root_rows(rs: RootSystem) -> np.ndarray:
+    """The positive roots of rs as the rows of a float array, built once and
+    shared read-only by every caller."""
+    roots = np.array(rs.positive_roots, dtype=float).reshape(-1, rs.rank)
+    roots.flags.writeable = False
+    return roots
+
+
+def _root_sines(roots: np.ndarray, theta: np.ndarray, tol: float) -> np.ndarray | None:
+    """sin(alpha(theta)/2) over the rows of roots, or None when a |sine| is
+    below tol or an angle is NaN."""
+    sines = np.sin(roots @ theta / 2)
+    return sines if np.abs(sines).min(initial=np.inf) >= tol else None
+
+
 def guarded_denominator(roots: np.ndarray, theta: np.ndarray) -> complex:
     """Product of 2i sin(alpha(theta)/2) over the rows of roots; raises
     SingularPoint when a |sine| is below SINGULAR_GUARD or an angle is NaN."""
-    sines = np.sin(roots @ theta / 2)
-    if not np.abs(sines).min(initial=1.0) >= SINGULAR_GUARD:
+    sines = _root_sines(roots, theta, SINGULAR_GUARD)
+    if sines is None:
         raise SingularPoint("point too close to the singular set")
     return complex(np.prod(2j * sines))
 
 
 def is_regular(rs: RootSystem, theta: Sequence[float], tol: float = SINGULAR_GUARD) -> bool:
-    """True iff |sin(alpha(theta)/2)| >= tol for every positive root."""
+    """True iff |sin(alpha(theta)/2)| >= tol for every positive root; the
+    same root sines as guarded_denominator."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if len(theta) != rs.rank:
         raise ValueError("dimension mismatch")
-    return all(abs(math.sin(pairing(a, theta) / 2.0)) >= tol for a in rs.positive_roots)
+    return _root_sines(root_rows(rs), np.asarray(theta, dtype=float), tol) is not None
 
 
-def random_regular(rs: RootSystem, rng, tol: float = 1e-3, max_tries: int = 10000) -> TorusPoint:
-    """Sample angles uniformly in (0, 2*pi) until the point is tol-regular."""
-    for _ in range(max_tries):
+def random_regular(rs: RootSystem, rng) -> TorusPoint:
+    """Sample angles uniformly in (0, 2*pi) until every root sine is at
+    least SAMPLE_MARGIN in modulus, in at most SAMPLE_DRAWS draws."""
+    for _ in range(SAMPLE_DRAWS):
         theta = tuple(rng.uniform(0.0, 2 * math.pi) for _ in range(rs.rank))
-        if is_regular(rs, theta, tol):
+        if is_regular(rs, theta, SAMPLE_MARGIN):
             return theta
-    raise SingularPoint(f"no {tol}-regular point found in {max_tries} draws")
+    raise SingularPoint(f"no {SAMPLE_MARGIN}-regular point found in {SAMPLE_DRAWS} draws")

@@ -97,7 +97,7 @@ def schur_agreement(quick: bool) -> str:
         rs = build_root_system("A", n)
         for lam in _partitions(top, n):
             for _ in range(draws):
-                theta = random_regular(rs, rng, 5e-2)
+                theta = random_regular(rs, rng)
                 a = weyl_character(rs, weight(*lam), theta)
                 b = schur_oracle(lam, [cmath.exp(1j * t) for t in theta])
                 _require(abs(a - b) <= 1e-10 * max(1.0, abs(b)), n, lam, theta)
@@ -156,7 +156,7 @@ def m_independence(quick: bool) -> str:
             tc1 = theta_character(pair, nu, m=1)
             ratios = []
             for _ in range(draws):
-                th = random_regular(pair.rs_gprime, rng, 5e-2)
+                th = random_regular(pair.rs_gprime, rng)
                 ratios.append(theta_eval(tc0, th) / theta_eval(tc1, th))
             _require(_spread(ratios) <= 1e-9, p, q, lam1)
             measured.append((p, q, lam1, complex(np.mean(ratios))))
@@ -183,7 +183,7 @@ def closed_forms(quick: bool) -> str:
             tc = theta_character(pair, [F(q - p, 2) + lam1])
             ratios = []
             for _ in range(draws):
-                th = random_regular(pair.rs_gprime, rng, 5e-2)
+                th = random_regular(pair.rs_gprime, rng)
                 ratios.append(theta_u1_closed(p, q, lam1, tc.m, th) / theta_eval(tc, th))
             _require(_spread(ratios) <= 1e-9, p, q, lam1)
             checked += 1
@@ -225,7 +225,7 @@ def numerator_consistency(quick: bool) -> str:
         tc = theta_character(pair, nu)
         numerator, theta = [], []
         for _ in range(10):
-            th = random_regular(pair.rs_gprime, rng, 5e-2)
+            th = random_regular(pair.rs_gprime, rng)
             reference = theta_double_sum(tc, th)
             numerator.append(theta_numerator_form(tc, th) / (weyl_denominator(pair.rs_gprime, th) * reference))
             theta.append(theta_eval(tc, th) / reference)

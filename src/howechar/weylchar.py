@@ -23,10 +23,12 @@ from .rootsys import (
     weyl_elements,
     weyl_order,
 )
-from .torus import guarded_denominator
+from .torus import guarded_denominator, root_rows
 
-SCHUR_WEIGHT_CAP = 12
-SCHUR_LENGTH_CAP = 5
+SCHUR_WEIGHT_CAP = 12  # largest |lam| schur_oracle enumerates
+SCHUR_LENGTH_CAP = 5  # most variables schur_oracle accepts
+SKIP_TOL = 1e-12  # |Delta_0|^2 below this marks a grid point as singular
+MAX_SKIP_FRACTION = 0.01  # share of regular grid points that may be non-finite
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,8 @@ def _shifted_weight(rs: RootSystem, lam: Weight) -> tuple[np.ndarray, np.ndarray
     if not is_dominant(rs, lam):
         raise ValueError(f"{lam} is not dominant for {rs.family}{rs.rank}")
     x = np.array(weight_add(lam, rho(rs)), dtype=float)
-    roots = np.array(rs.positive_roots, dtype=float).reshape(-1, rs.rank)
-    x.flags.writeable = roots.flags.writeable = False  # shared by every caller
-    return x, roots
+    x.flags.writeable = False  # shared by every caller
+    return x, root_rows(rs)
 
 
 def weyl_character(rs: RootSystem, lam: Weight, theta: Sequence[float]) -> complex:
@@ -120,7 +121,7 @@ def _gt_patterns(top: tuple[int, ...]):
             yield [top] + rest
 
 
-def schur_oracle(lam: Sequence[int], x: Sequence, weight_cap: int = SCHUR_WEIGHT_CAP, length_cap: int = SCHUR_LENGTH_CAP):
+def schur_oracle(lam: Sequence[int], x: Sequence):
     """Schur polynomial s_lam(x) by brute-force Gelfand-Tsetlin enumeration.
 
     Exact when the x are exact (Fraction/int); independent of the Weyl
@@ -132,8 +133,8 @@ def schur_oracle(lam: Sequence[int], x: Sequence, weight_cap: int = SCHUR_WEIGHT
         raise ValueError("weight length must match number of variables")
     if any(a < b for a, b in zip(lam, lam[1:])) or lam[-1] < 0:
         raise ValueError(f"{lam} is not a partition")
-    if sum(lam) > weight_cap or n > length_cap:
-        raise CapExceeded(f"|lam|={sum(lam)}, n={n} beyond caps ({weight_cap}, {length_cap})")
+    if sum(lam) > SCHUR_WEIGHT_CAP or n > SCHUR_LENGTH_CAP:
+        raise CapExceeded(f"|lam|={sum(lam)}, n={n} beyond caps ({SCHUR_WEIGHT_CAP}, {SCHUR_LENGTH_CAP})")
     total = 0
     for pattern in _gt_patterns(lam):
         rowsums = [sum(row) for row in reversed(pattern)]  # length 1 row first
@@ -147,11 +148,7 @@ def schur_oracle(lam: Sequence[int], x: Sequence, weight_cap: int = SCHUR_WEIGHT
 
 
 def denominator_sq_on_grid(rs: RootSystem, points: np.ndarray) -> np.ndarray:
-    out = np.ones(points.shape[0])
-    for alpha in rs.positive_roots:
-        a = np.array([float(c) for c in alpha])
-        out *= 4.0 * np.sin(points @ a / 2.0) ** 2
-    return out
+    return np.prod(4.0 * np.sin(points @ root_rows(rs).T / 2.0) ** 2, axis=1)
 
 
 def character_numerators_on_grid(rs: RootSystem, lam: Weight, points: np.ndarray) -> np.ndarray:
@@ -176,8 +173,6 @@ def torus_inner_product(
     g: Callable[[Sequence[float]], complex] | np.ndarray,
     rs_K: RootSystem,
     grid: QuadratureGrid,
-    skip_tol: float = 1e-12,
-    max_skip_fraction: float = 0.01,
 ) -> complex:
     """(1/|W_K|) * grid average of f * conj(g) * |Delta_0|^2.
 
@@ -186,13 +181,13 @@ def torus_inner_product(
     zero: continuous class functions make the weighted integrand vanish
     there, so undefined f/g values at weight-zero points are harmless.
     Non-finite values away from the singular set are skipped and counted;
-    more than max_skip_fraction of those raises QuadratureUnreliable.
+    more than MAX_SKIP_FRACTION of the grid raises QuadratureUnreliable.
     """
     if grid.rank != rs_K.rank:
         raise ValueError("grid rank must match the root system rank")
     pts = grid.points()
     weight_sq = denominator_sq_on_grid(rs_K, pts)
-    singular = weight_sq < skip_tol
+    singular = weight_sq < SKIP_TOL
 
     def values(h):
         if isinstance(h, np.ndarray):
@@ -210,7 +205,7 @@ def torus_inner_product(
     finite = np.isfinite(fv) & np.isfinite(gv)
     keep = finite & ~singular
     skipped = int((~finite & ~singular).sum())
-    if skipped > max_skip_fraction * pts.shape[0]:
+    if skipped > MAX_SKIP_FRACTION * pts.shape[0]:
         raise QuadratureUnreliable(f"{skipped} of {pts.shape[0]} regular grid points skipped")
     total = np.sum(fv[keep] * np.conj(gv[keep]) * weight_sq[keep]) / pts.shape[0]
     return complex(total) / weyl_order(rs_K)

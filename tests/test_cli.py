@@ -1,16 +1,25 @@
+import cmath
 import json
 import subprocess
 import sys
 
 import pytest
 
-from howechar.cli import run
+from howechar.cli import main, run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
 
 
 def capture(argv):
+    """The CLI in a fresh process; kept for the tests that check the process boundary."""
     return subprocess.run(CLI + argv, capture_output=True, text=True)
+
+
+def call(capsys, argv):
+    """run(argv) in this process: (exit status, stdout, stderr)."""
+    code = run(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def test_theta_reference_value_and_schema():
@@ -23,15 +32,15 @@ def test_theta_reference_value_and_schema():
     assert doc["meta"]["nu"] == ["0"]
 
 
-def test_identity_grid_proved():
-    out = capture(["identity", "--p", "2", "--q", "1", "--k", "1", "--mode", "grid"])
-    doc = json.loads(out.stdout)
+def test_identity_grid_proved(capsys):
+    _, out, _ = call(capsys, ["identity", "--p", "2", "--q", "1", "--k", "1", "--mode", "grid"])
+    doc = json.loads(out)
     assert doc["results"][0]["verdict"] == "proved"
 
 
-def test_roots_listing():
-    out = capture(["roots", "--family", "C", "--rank", "2"])
-    doc = json.loads(out.stdout)
+def test_roots_listing(capsys):
+    _, out, _ = call(capsys, ["roots", "--family", "C", "--rank", "2"])
+    doc = json.loads(out)
     assert doc["meta"]["count"] == 4
     assert len(doc["results"]) == 4
 
@@ -43,17 +52,17 @@ def test_byte_identical_reproducibility():
     assert a.stdout == b.stdout
 
 
-def test_domain_error_exit_code_and_name():
-    out = capture(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0,1", "--theta", "1,2"])
-    assert out.returncode == 1
-    assert "NotInCorrespondence" in out.stderr
+def test_domain_error_exit_code_and_name(capsys):
+    code, _, err = call(capsys, ["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0,1", "--theta", "1,2"])
+    assert code == 1
+    assert "NotInCorrespondence" in err
     # a non-integral dimension is refused even with asserts compiled out
     argv = [sys.executable, "-O", "-m", "howechar.cli", "dim", "--family", "A", "--rank", "2", "--weight", "1/2,0"]
     out = subprocess.run(argv, capture_output=True, text=True)
     assert out.returncode == 1 and "ValueError" in out.stderr
 
 
-def test_parse_error_exit_code(capsys):
+def test_parse_error_exit_code(capsys, monkeypatch):
     uu = ["--pair", "uu", "--n", "1", "--p", "1", "--q", "1"]
     for argv in (
         ["theta", "--pair", "nope", "--n", "1", "--nu", "0"],
@@ -77,56 +86,55 @@ def test_parse_error_exit_code(capsys):
         err = capsys.readouterr().err
         if argv[0] == "oracle":
             assert "--samples" in err
-    # the module entry point turns the same parse error into exit status 2
-    out = capture(["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "0"])
-    assert out.returncode == 2 and "--samples" in out.stderr
+    # the console entry point turns the same parse error into exit status 2
+    monkeypatch.setattr(sys, "argv", ["howechar", "oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--samples", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2 and "--samples" in capsys.readouterr().err
 
 
-def test_singular_point_domain_error():
-    out = capture(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0", "--theta", "1.0,1.0"])
-    assert out.returncode == 1
-    assert "SingularPoint" in out.stderr
+def test_singular_point_domain_error(capsys):
+    code, _, err = call(capsys, ["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0", "--theta", "1.0,1.0"])
+    assert code == 1
+    assert "SingularPoint" in err
 
 
-def test_support_and_ktypes_and_constant():
-    out = capture(["support", "--pair", "uu", "--n", "1", "--p", "2", "--q", "1", "--nu=-7/2"])
-    doc = json.loads(out.stdout)
+def test_support_and_ktypes_and_constant(capsys):
+    _, out, _ = call(capsys, ["support", "--pair", "uu", "--n", "1", "--p", "2", "--q", "1", "--nu=-7/2"])
+    doc = json.loads(out)
     assert (doc["results"][0]["lo"], doc["results"][0]["hi"]) == (1, 1)
-    out = capture(["ktypes", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "1", "--truncation", "4"])
-    doc = json.loads(out.stdout)
+    _, out, _ = call(capsys, ["ktypes", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "1", "--truncation", "4"])
+    doc = json.loads(out)
     assert doc["results"][0]["multiplicity"] == 1
-    out = capture(["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"])
-    assert json.loads(out.stdout)["results"][0]["constant"]
+    _, out, _ = call(capsys, ["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"])
+    assert json.loads(out)["results"][0]["constant"]
 
 
-def test_dim_and_rho_and_char():
-    assert json.loads(capture(["dim", "--family", "A", "--rank", "3", "--weight", "2,1,0"]).stdout)["results"][0]["dimension"] == 8
-    doc = json.loads(capture(["rho", "--family", "C", "--rank", "2"]).stdout)
-    assert doc["results"][0]["rho"] == ["2", "1"]
-    doc = json.loads(capture(["char", "--family", "A", "--rank", "2", "--weight", "1,0", "--theta", "1.0,2.5"]).stdout)
-    import cmath
-
+def test_dim_and_rho_and_char(capsys):
+    _, out, _ = call(capsys, ["dim", "--family", "A", "--rank", "3", "--weight", "2,1,0"])
+    assert json.loads(out)["results"][0]["dimension"] == 8
+    _, out, _ = call(capsys, ["rho", "--family", "C", "--rank", "2"])
+    assert json.loads(out)["results"][0]["rho"] == ["2", "1"]
+    _, out, _ = call(capsys, ["char", "--family", "A", "--rank", "2", "--weight", "1,0", "--theta", "1.0,2.5"])
     expect = cmath.exp(1j) + cmath.exp(2.5j)
-    assert abs(doc["results"][0]["value"]["re"] - expect.real) < 1e-9
+    assert abs(json.loads(out)["results"][0]["value"]["re"] - expect.real) < 1e-9
 
 
 def test_char_beyond_the_weyl_group_enumeration_cap(capsys):
     # A11 has 11! Weyl elements; the determinant numerator never lists them
     argv = ["char", "--family", "A", "--rank", "11", "--weight", "1" + ",0" * 10, "--random-regular", "3", "--seed", "4"]
     assert run(argv) == 0
-    import cmath
-
     for row in json.loads(capsys.readouterr().out)["results"]:
         expect = sum(cmath.exp(1j * t) for t in row["point"])
         got = complex(row["value"]["re"], row["value"]["im"])
         assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
-def test_oracle_and_rdv_cli():
-    doc = json.loads(capture(["rdv", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5"]).stdout)
-    ref = doc["results"][0]["value"]
-    doc2 = json.loads(capture(["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--method", "hciz"]).stdout)
-    val = doc2["results"][0]["value"]
+def test_oracle_and_rdv_cli(capsys):
+    _, out, _ = call(capsys, ["rdv", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5"])
+    ref = json.loads(out)["results"][0]["value"]
+    _, out, _ = call(capsys, ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--method", "hciz"])
+    val = json.loads(out)["results"][0]["value"]
     assert abs(val["re"] - ref["re"]) < 1e-9 and abs(val["im"] - ref["im"]) < 1e-9
 
 
@@ -137,10 +145,10 @@ def test_run_function_in_process():
     assert exc.value.code == 2
 
 
-def test_uh_ostar_with_m_one_is_a_domain_error():
-    out = capture(["support", "--pair", "ostar", "--n", "1", "--m", "1", "--nu", "0"])
-    assert out.returncode == 1
-    assert "uh-ostar needs m >= 2" in out.stderr
+def test_uh_ostar_with_m_one_is_a_domain_error(capsys):
+    code, _, err = call(capsys, ["support", "--pair", "ostar", "--n", "1", "--m", "1", "--nu", "0"])
+    assert code == 1
+    assert "uh-ostar needs m >= 2" in err
 
 
 # JSON of the formal subcommands, one small instance per pair kind, frozen

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,30 +11,30 @@ from howechar.howe import (
     eta_cosets,
     eta_cosets_brute_force,
     kprime_weyl,
-    kprime_weyl_order,
     project,
     rho_z,
+    structural_m_range,
     support_interval,
     validate_weight,
     z_subsystem,
     z_weyl,
 )
-from howechar.rootsys import weight
+from howechar.rootsys import WeylElement, weight
 
 F = Fraction
 
 
 def test_pair_root_data():
     uu = dual_pair("uu", 2, p=2, q=1)
-    assert uu.rs_g.family == "A" and uu.rs_gprime.family == "A"
+    assert uu.rs_gprime.family == "A"
     assert len(uu.rs_gprime.compact_positive_roots) == 1  # e1 - e2 inside U(2) x U(1)
     oe = dual_pair("oeven-sp", 2, m=3)
-    assert oe.rs_g.family == "D" and oe.rs_gprime.family == "C"
+    assert oe.rs_gprime.family == "C"
     assert len(oe.rs_gprime.compact_positive_roots) == 3
     oo = dual_pair("oodd-sp", 1, m=2)
-    assert oo.rs_g.family == "B"
+    assert oo.rs_gprime.family == "C"
     uh = dual_pair("uh-ostar", 2, m=3)
-    assert uh.rs_g.family == "C" and uh.rs_gprime.family == "D"
+    assert uh.rs_gprime.family == "D"
     with pytest.raises(ValueError):
         dual_pair("uu", 3, p=1, q=1)
     with pytest.raises(ValueError):
@@ -137,9 +139,46 @@ def test_embedded_index_set_and_project():
 
 
 def test_kprime_weyl_counts():
-    assert len(list(kprime_weyl(dual_pair("uu", 1, p=2, q=1)))) == 2 == kprime_weyl_order(dual_pair("uu", 1, p=2, q=1))
+    assert len(list(kprime_weyl(dual_pair("uu", 1, p=2, q=1)))) == 2 == math.factorial(2) * math.factorial(1)
     assert len(list(kprime_weyl(dual_pair("oeven-sp", 1, m=3)))) == 6
     assert len(list(kprime_weyl(dual_pair("uh-ostar", 1, m=2)))) == 2
+
+
+def test_kprime_and_z_weyl_follow_the_lex_listing():
+    # every sign vector of every permutation of the big torus, in lex order,
+    # filtered to the subgroup: the order that the orbit table follows
+    pairs = [dual_pair("uu", n, p=p, q=q) for n in (1, 2) for p in (1, 2) for q in (1, 2)]
+    pairs += [
+        dual_pair(kind, n, m=m)
+        for kind in ("oeven-sp", "oodd-sp", "uh-ostar")
+        for m in (1, 2, 3)
+        for n in range(1, m + 1)
+        if kind != "uh-ostar" or m >= 2
+    ]
+    for pair in pairs:
+        N, family = pair.rank_gprime, pair.rs_gprime.family
+        listing = [
+            WeylElement(perm, signs)
+            for perm in itertools.permutations(range(N))
+            for signs in itertools.product((1, -1), repeat=N)
+        ]
+        kprime = [
+            w
+            for w in listing
+            if -1 not in w.signs and all(start <= w.perm[i] < stop for start, stop in pair.kprime_blocks for i in range(start, stop))
+        ]
+        assert list(kprime_weyl(pair)) == kprime, pair
+        lo, hi = structural_m_range(pair)
+        for m in range(lo, hi + 1):
+            fixed = embedded_index_set(pair, m)
+            z = [
+                w
+                for w in listing
+                if all(w.perm[i] == i and w.signs[i] == 1 for i in fixed)
+                and (family != "A" or -1 not in w.signs)
+                and (family != "D" or w.signs.count(-1) % 2 == 0)
+            ]
+            assert list(z_weyl(pair, m)) == z, (pair, m)
 
 
 def test_eta_cosets_uu_examples():

@@ -15,7 +15,7 @@ from howechar.orbits import (
     orbit_parameter,
     rdv_fourier,
 )
-from howechar.rootsys import act, build_root_system, weyl_elements
+from howechar.rootsys import RootSystem, act, build_root_system, weight, weyl_elements
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -26,6 +26,19 @@ def test_rdv_reference_value():
     val = rdv_fourier(A2, A2, op, (math.pi, 0.0))
     # two-term sum [e^{i pi} - 1]/(i pi) = 2i/pi, frozen by hand
     assert abs(val - 2j / math.pi) < 1e-12
+
+
+def test_orbit_parameter_accepts_equal_fraction_roots():
+    # U(2) x U(1) in U(3) with every root given as Fractions: the same P_lam
+    # and the same noncompact count as with the int roots
+    k_int = RootSystem("A", 3, ((1, -1, 0),))
+    k_frac = RootSystem("A", 3, (weight(1, -1, 0),))
+    g_frac = RootSystem("A", 3, tuple(weight(*a) for a in A3.positive_roots))
+    lam = [2, 1, -1]
+    expect = orbit_parameter(A3, k_int, lam)
+    assert expect.n_noncompact == 2
+    for rs_g, rs_k in ((A3, k_frac), (g_frac, k_int), (g_frac, k_frac)):
+        assert orbit_parameter(rs_g, rs_k, lam) == expect
 
 
 def test_rdv_singular_orbit_parameter():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,26 @@ def test_positive_root_counts():
     for n in (2, 3, 4):
         assert len(build_root_system("D", n).positive_roots) == n * (n - 1)
         assert len(build_root_system("B", n).positive_roots) == n * n
+
+
+def test_roots_are_int_tuples_and_rho_is_a_weight():
+    for family in "ABCD":
+        for rank in (2, 3):
+            rs = build_root_system(family, rank)
+            assert all(type(c) is int for alpha in rs.all_roots for c in alpha)
+            assert all(type(c) is Fraction for c in rho(rs))
+
+
+def test_with_compact_roots_accepts_equal_fraction_roots():
+    # an int and the Fraction of the same value compare and hash alike; the
+    # marked roots are stored as the system's own int tuples
+    rs = build_root_system("C", 2)
+    marked = rs.with_compact_roots([weight(1, -1)])
+    assert marked.compact_positive_roots == ((1, -1),)
+    assert all(type(c) is int for c in marked.compact_positive_roots[0])
+    assert marked == rs.with_compact_roots([(1, -1)])
+    with pytest.raises(ValueError, match="not a positive root"):
+        rs.with_compact_roots([weight("1/2", "-1/2")])
 
 
 def test_c2_and_b2_root_sets():
@@ -69,6 +90,20 @@ def test_weyl_group_sizes_and_uniqueness():
         assert len(elems) == size == weyl_order(rs)
         assert len(set(elems)) == size
         assert elems.count(identity_element(rank)) == 1
+
+
+def test_weyl_elements_follow_the_lex_listing():
+    # every sign vector of every permutation, in lex order, filtered to the
+    # family's group: the order that the orbit tables and float sums follow
+    keep = {"A": lambda s: -1 not in s, "B": lambda s: True, "C": lambda s: True, "D": lambda s: s.count(-1) % 2 == 0}
+    for family, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 2), ("D", 3)):
+        listing = [
+            WeylElement(perm, signs)
+            for perm in itertools.permutations(range(rank))
+            for signs in itertools.product((1, -1), repeat=rank)
+            if keep[family](signs)
+        ]
+        assert list(weyl_elements(build_root_system(family, rank))) == listing, (family, rank)
 
 
 def test_enumeration_cap():

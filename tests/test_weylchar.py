@@ -69,7 +69,7 @@ def test_character_matches_schur_at_random_points():
     rng = random.Random(11)
     for lam in ((2, 0, 0), (2, 1, 0), (3, 1, 1), (2, 2, 2)):
         for _ in range(10):
-            theta = random_regular(A3, rng, 5e-2)
+            theta = random_regular(A3, rng)
             x = [cmath.exp(1j * t) for t in theta]
             a = weyl_character(A3, weight(*lam), theta)
             b = schur_oracle(lam, x)
@@ -103,7 +103,7 @@ def test_determinant_numerator_matches_weyl_group_sum():
             lams.append((2,) * (n - 1) + (0,))
         for lam in lams:
             for _ in range(4):
-                theta = random_regular(rs, rng, 5e-2)
+                theta = random_regular(rs, rng)
                 a = weyl_character(rs, lam, theta) * weyl_denominator(rs, theta)
                 b = character_numerators_on_grid(rs, lam, np.array([theta]))[0]
                 assert abs(a - b) <= 1e-10 * abs(b), (family, n, lam, theta)
@@ -113,7 +113,7 @@ def test_weyl_invariance_of_character():
     rng = random.Random(12)
     elems = list(weyl_elements(A3))
     for _ in range(20):
-        theta = random_regular(A3, rng, 5e-2)
+        theta = random_regular(A3, rng)
         w = rng.choice(elems)
         a = weyl_character(A3, weight(2, 1, 0), theta)
         b = weyl_character(A3, weight(2, 1, 0), act(w, theta))
