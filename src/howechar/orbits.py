@@ -8,10 +8,15 @@ The finite Weyl sum
 with P_lam = {alpha : <lam, alpha> > 0} is validated against two
 independent oracles for U(n): a Haar Monte-Carlo average of
 e^{i tr(diag(x) U diag(lam) U*)} and the exact determinant closed form of
-the unitary-group exponential integral.  The determinant formula for the
-Haar average carries the constant prod_{k=1}^{n-1} k!; dividing the
-normalized Haar average by that constant and multiplying by the Liouville
-prefactor prod_{alpha in P_lam} <lam, alpha> reproduces F(X), which is the
+the unitary-group exponential integral.  The average reads U only
+through the weights |u_ij|^2, which a left diagonal phase leaves alone, so
+the sampler takes U's first column real (the square root of a
+Dirichlet(1,...,1) vector, n exponentials per sample) and draws 2n normals
+for each of the n-2 further columns it needs: 3 exponentials and 6 normals
+per U(3) sample.  The determinant formula for the Haar average carries the
+constant prod_{k=1}^{n-1} k!; dividing the normalized Haar average by that
+constant and multiplying by the Liouville prefactor
+prod_{alpha in P_lam} <lam, alpha> reproduces F(X), which is the
 calibration the tests pin at a reference point.
 """
 
@@ -88,31 +93,36 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
     return (-1) ** op.n_noncompact * total
 
 
-def _gaussian_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Real and imaginary parts of count complex Gaussian n x n matrices.
+def _haar_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The first n-1 columns of count Haar unitaries, up to a left diagonal phase.
 
-    The two standard_normal((count, n, n)) draws are the real and the
-    imaginary part, in that order; one transpose-copy puts them in a
-    contiguous (part, column, row, sample) array.  The 1/sqrt(2) of a
-    standard complex Gaussian is left out: Gram-Schmidt does not see the
-    scale.
+    Returns the real and imaginary parts as one (part, column, row, sample)
+    array.  A Haar U is the Gram-Schmidt Q of a complex Gaussian matrix
+    (Mezzadri, Notices AMS 54, 2007), and DU is Haar for every diagonal
+    unitary D, so the first column can be taken real: it is sqrt(w) with
+    w ~ Dirichlet(1, ..., 1), n standard exponentials over their sum.  Columns
+    1 to n-2 are Gram-Schmidt on complex Gaussians (the 1/sqrt(2) is left
+    out, Gram-Schmidt does not see the scale), each projected off the
+    earlier columns twice before it is normalised, which keeps them
+    orthogonal to machine precision (Giraud, Langou and Rozloznik, 2005).
+    A sample costs n exponentials and 2n(n-2) normals; n = 1 draws nothing.
     """
-    re = rng.standard_normal((count, n, n))
-    im = rng.standard_normal((count, n, n))
-    return np.array((re.T, im.T))
-
-
-def _gram_schmidt(re: np.ndarray, im: np.ndarray, columns: int) -> None:
-    """Orthonormalise the first columns of a (column, row, sample) batch in place.
-
-    Each column is projected off the earlier ones twice before it is
-    normalised, which keeps the columns orthogonal to machine precision
-    (Giraud, Langou and Rozloznik, 2005); one pass loses about three digits.
-    """
-    for j in range(columns):
+    cols = np.zeros((2, n - 1, n, count))
+    if n < 2:
+        return cols
+    e = rng.standard_exponential((n, count))
+    q0 = np.sqrt(e / e.sum(0))
+    cols[0, 0] = q0
+    cols[:, 1:] = rng.standard_normal((2, n - 2, n, count))
+    re, im = cols
+    for j in range(1, n - 1):
         vr, vi = re[j], im[j]
         for _ in range(2):
-            for i in range(j):
+            # q0 is real, so <q0, v> = sum_k q0_k v_k
+            cr, ci = (q0 * vr).sum(0), (q0 * vi).sum(0)
+            vr -= q0 * cr
+            vi -= q0 * ci
+            for i in range(1, j):
                 qr, qi = re[i], im[i]
                 # c = <q, v> = sum_k conj(q_k) v_k, then v -= q c
                 cr = (qr * vr).sum(0) + (qi * vi).sum(0)
@@ -122,21 +132,7 @@ def _gram_schmidt(re: np.ndarray, im: np.ndarray, columns: int) -> None:
         norm = np.sqrt((vr * vr).sum(0) + (vi * vi).sum(0))
         vr /= norm
         vi /= norm
-
-
-def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar-distributed n x n unitaries: Gram-Schmidt on Gaussian columns.
-
-    The Q factor of a complex Gaussian matrix whose R has a positive
-    diagonal is Haar-distributed (Mezzadri, Notices AMS 54, 2007), and that
-    Q is what Gram-Schmidt over the columns produces.  The work is done in
-    real float64 arithmetic on contiguous (column, row, sample) arrays of
-    the real and imaginary parts; the result is assembled as a complex
-    (sample, row, column) array.
-    """
-    re, im = _gaussian_columns(n, count, rng)
-    _gram_schmidt(re, im, n)
-    return (re + 1j * im).T.copy()
+    return cols
 
 
 @dataclass(frozen=True)
@@ -186,20 +182,23 @@ def orbit_integral_oracle(
 ) -> OracleEstimate:
     """Independent estimates of the orbit Fourier transform for U(n).
 
-    method='mc' draws Haar unitaries and averages the exponential trace;
+    method='mc' averages the exponential trace over Haar unitaries;
     method='hciz' evaluates the determinant closed form.  Both are scaled
     by the Liouville prefactor over the superfactorial constant so they
     target the same quantity as rdv_fourier.
 
-    The trace needs only the weights |u_ij|^2.  Each batch is sampled as in
-    haar_unitaries, in real (column, row, sample) arrays, but only the first
-    n-1 columns are orthonormalised: every row of U has unit norm, so the
+    The trace needs only the weights |u_ij|^2.  Each batch draws the first
+    n-1 columns with _haar_columns; every row of U has unit norm, so the
     last column's weights are 1 - sum_{j<n-1} |u_ij|^2.
     """
     lam_f = [float(v) for v in lam]
     x = [float(v) for v in X]
     if len(lam_f) != n or len(x) != n:
         raise ValueError("dimension mismatch")
+    if not all(map(math.isfinite, lam_f)):
+        raise ValueError("lam must be finite")
+    if not all(map(math.isfinite, x)):
+        raise ValueError("X must be finite")
     rs = build_root_system("A", n)
     op = orbit_parameter(rs, rs, [Fraction(v) for v in lam])
     scale = liouville_normalization(op) / math.prod(math.factorial(k) for k in range(1, n))
@@ -214,8 +213,7 @@ def orbit_integral_oracle(
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
     sums = []
     for count, ss in zip(counts, seeds):
-        re, im = _gaussian_columns(n, count, np.random.default_rng(ss))
-        _gram_schmidt(re, im, n - 1)
+        re, im = _haar_columns(n, count, np.random.default_rng(ss))
         # diag(U diag(lam) U*) = |U|^2 lam; with the last column's weights
         # 1 - sum_{j<n-1} |u_ij|^2 the phase x.|U|^2 lam is
         # lam_last sum(x) + sum_{j<n-1} (lam_j - lam_last) x.|u_.j|^2

@@ -8,7 +8,7 @@ import pytest
 from howechar.errors import MonteCarloOnly, SingularPoint
 from howechar.orbits import (
     MC_BATCH,
-    haar_unitaries,
+    _haar_columns,
     hciz_mean,
     liouville_normalization,
     orbit_integral_oracle,
@@ -109,55 +109,120 @@ def test_rdv_regularity_guard():
         rdv_fourier(A2, A2, op, (1.0, 1.0))
 
 
-def _haar_qr_reference(n, count, rng):
-    # reference kernel: Householder QR of the same Gaussian batch, with R's
-    # diagonal phases moved into Q so that R has a positive diagonal
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+def _phase_fixed_qr(n, count, rng):
+    # reference kernel: Householder QR of [sqrt(e) | z_1 ... z_{n-2} | z], the
+    # first n-1 columns drawn as _haar_columns draws them and the last one an
+    # extra Gaussian column, with R's diagonal phases moved into Q so that R
+    # has a positive diagonal
+    cols = []
+    if n > 1:
+        cols.append(np.sqrt(rng.standard_exponential((n, count))))
+        z = rng.standard_normal((2, n - 2, n, count))
+        cols.extend(z[0] + 1j * z[1])
+    cols.append(rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count)))
+    q, r = np.linalg.qr(np.stack(cols).transpose(2, 1, 0))
     d = np.einsum("bii->bi", r)
     return q * (d / np.abs(d))[:, None, :]
 
 
-def test_haar_unitaries_are_unitary():
+def _columns(n, count, rng):
+    # the first n-1 Haar columns as a complex (sample, row, column) array
+    re, im = _haar_columns(n, count, rng)
+    return (re + 1j * im).transpose(2, 1, 0)
+
+
+def _max_gram_error(q):
+    gram = np.einsum("bki,bkj->bij", np.conj(q), q)
+    return np.abs(gram - np.eye(q.shape[2])).max(initial=0.0)
+
+
+def test_haar_columns_are_orthonormal():
     for n in (1, 2, 3, 5):
-        u = haar_unitaries(n, 4096, np.random.default_rng(0))
-        eye = np.einsum("bij,bkj->bik", u, np.conj(u))
-        assert np.abs(eye - np.eye(n)).max() <= 1e-13
+        q = _columns(n, 4096, np.random.default_rng(0))
+        assert q.shape == (4096, n, n - 1)
+        assert _max_gram_error(q) <= 1e-13
 
 
 class _NearlyDependentColumns:
-    # stands in for a Generator: in every Gaussian block the columns differ
-    # from the first column by 1e-6 times a random vector
+    # stands in for a Generator: every Gaussian column differs from the real
+    # first column sqrt(e / sum e) by 1e-6 times a random vector
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
+    def standard_exponential(self, shape):
+        self.e = self.rng.standard_exponential(shape)
+        return self.e
+
     def standard_normal(self, shape):
-        z = self.rng.standard_normal(shape)
-        return z[:, :, :1] + 1e-6 * z
+        z = 1e-6 * self.rng.standard_normal(shape)
+        z[0] += np.sqrt(self.e / self.e.sum(0))
+        return z
 
 
-def test_haar_unitaries_stay_unitary_on_nearly_dependent_columns():
+def test_haar_columns_stay_orthonormal_on_nearly_dependent_columns():
     # one Gram-Schmidt pass leaves errors near 1e-8 here; the second pass
     # brings the columns back to orthogonal at machine precision
     for n in (2, 3, 5):
-        u = haar_unitaries(n, 4096, _NearlyDependentColumns(3))
-        eye = np.einsum("bij,bkj->bik", u, np.conj(u))
-        assert np.abs(eye - np.eye(n)).max() <= 1e-13
+        q = _columns(n, 4096, _NearlyDependentColumns(3))
+        assert _max_gram_error(q) <= 1e-13
 
 
-def test_haar_unitaries_match_phase_fixed_qr():
+def test_haar_columns_match_phase_fixed_qr():
     # QR with a positive-diagonal R is unique, so both kernels must return
-    # the same unitary for the same Gaussian draw, up to roundoff
+    # the same first n-1 columns for the same draws, up to roundoff
     for n in (1, 2, 3, 5):
-        u = haar_unitaries(n, 4096, np.random.default_rng(11 + n))
-        ref = _haar_qr_reference(n, 4096, np.random.default_rng(11 + n))
-        assert np.abs(u - ref).max() <= 1e-12
+        q = _columns(n, 4096, np.random.default_rng(11 + n))
+        ref = _phase_fixed_qr(n, 4096, np.random.default_rng(11 + n))
+        assert np.abs(q - ref[:, :, : n - 1]).max(initial=0.0) <= 1e-12
+
+
+class _CountingGenerator:
+    # stands in for a Generator and counts the variates drawn of each kind
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = {"standard_exponential": 0, "standard_normal": 0}
+
+    def standard_exponential(self, shape):
+        self.drawn["standard_exponential"] += math.prod(shape)
+        return self.rng.standard_exponential(shape)
+
+    def standard_normal(self, shape):
+        self.drawn["standard_normal"] += math.prod(shape)
+        return self.rng.standard_normal(shape)
+
+
+def test_haar_columns_draw_n_exponentials_and_2n_n_minus_2_normals_per_sample():
+    count = 1000
+    for n in range(1, 6):
+        rng = _CountingGenerator(n)
+        _haar_columns(n, count, rng)
+        expect_exp, expect_normal = (n, 2 * n * (n - 2)) if n > 1 else (0, 0)
+        assert rng.drawn == {"standard_exponential": expect_exp * count, "standard_normal": expect_normal * count}
+
+
+def test_haar_weights_match_weingarten_moments():
+    # exact Haar moments of w_ij = |u_ij|^2 (Collins-Sniady): E w = 1/n,
+    # E w^2 = 2/(n(n+1)), E w_i0 w_i1 = 1/(n(n+1)), E w_00 w_11 = 1/(n^2-1);
+    # each sample mean lies within 5 standard errors
+    count = 200_000
+    for n in (2, 3, 4, 5):
+        re, im = _haar_columns(n, count, np.random.default_rng(100 + n))
+        w = re * re + im * im
+        w = np.concatenate([w, 1.0 - w.sum(0, keepdims=True)])  # (column, row, sample)
+        moments = [(w[j, i], 1 / n) for i in range(n) for j in range(n)]
+        moments += [(w[j, i] ** 2, 2 / (n * (n + 1))) for i in range(n) for j in range(n)]
+        moments += [(w[0, i] * w[1, i], 1 / (n * (n + 1))) for i in range(n)]
+        moments.append((w[0, 0] * w[1, 1], 1 / (n * n - 1)))
+        for sample, exact in moments:
+            stderr = sample.std() / math.sqrt(count)
+            assert abs(sample.mean() - exact) <= 5 * stderr, (n, exact)
 
 
 def test_monte_carlo_stderr_matches_two_pass_formula():
-    # redraw the oracle's chunks as full unitaries and take the mean and the
-    # two-pass standard error from the full sample array; lam has a nonzero
-    # last entry, so the weights of the last column enter the integrand
+    # redraw each of the oracle's chunks from the same child seed, complete it
+    # to a full unitary by the phase-fixed QR reference and take the mean and
+    # the two-pass standard error from the full |U|^2; lam has a nonzero last
+    # entry, so the weights of the last column enter the integrand
     n_samples, seed = 20_000, 5
     counts = [min(MC_BATCH, n_samples - i) for i in range(0, n_samples, MC_BATCH)]
     children = np.random.SeedSequence(seed).spawn(len(counts))
@@ -168,7 +233,7 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
         scale = liouville_normalization(orbit_parameter(rs, rs, lam)) / superfactorial
         lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
-        u = np.concatenate([haar_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
+        u = np.concatenate([_phase_fixed_qr(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
         vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
         mean = scale * vals.mean()
         stderr = scale * np.sqrt((np.abs(vals - vals.mean()) ** 2).mean() / len(vals))
@@ -223,3 +288,12 @@ def test_monte_carlo_rejects_non_positive_sample_counts():
     for n_samples in (0, -5):
         with pytest.raises(ValueError, match="n_samples"):
             orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=n_samples, method="mc")
+
+
+def test_oracle_rejects_non_finite_input():
+    for method in ("mc", "hciz"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="X must be finite"):
+                orbit_integral_oracle(2, [1, 0], [bad, 0.5], n_samples=10, method=method)
+            with pytest.raises(ValueError, match="lam must be finite"):
+                orbit_integral_oracle(2, [bad, 0], [1.0, 0.5], n_samples=10, method=method)
