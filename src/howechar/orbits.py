@@ -9,11 +9,11 @@ with P_lam = {alpha : <lam, alpha> > 0} is validated against two
 independent oracles for U(n): a Haar Monte-Carlo average of
 e^{i tr(diag(x) U diag(lam) U*)} and the exact determinant closed form of
 the unitary-group exponential integral.  The average reads U only
-through the weights |u_ij|^2, which a left diagonal phase leaves alone, so
-the sampler takes U's first column real (the square root of a
-Dirichlet(1,...,1) vector, n exponentials per sample) and draws 2n normals
-for each of the n-2 further columns it needs: 3 exponentials and 6 normals
-per U(3) sample.  The determinant formula for the Haar average carries the
+through x.|u_j|^2 for its first n-1 columns u_j, which the sampler draws by
+the subgroup algorithm: each column is uniform on the sphere of the
+complement of the earlier ones, and only diag(x) compressed to that
+complement is carried, with no normals and no Gram-Schmidt (3 exponentials
+and 2 uniforms per U(3) sample).  The Haar average's determinant form has the
 constant prod_{k=1}^{n-1} k!; dividing the normalized Haar average by that
 constant and multiplying by the Liouville prefactor
 prod_{alpha in P_lam} <lam, alpha> reproduces F(X), which is the
@@ -53,12 +53,19 @@ def orbit_parameter(rs_g: RootSystem, rs_k: RootSystem, lam: Sequence) -> OrbitP
     return OrbitParameter(lam, p_lam, n_nc)
 
 
+def _as_floats(values: Sequence, name: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{name} does not fit a float") from None
+
+
 def liouville_normalization(op: OrbitParameter) -> float:
     """prod over P_lam of <lam, alpha>; strictly positive by construction."""
     out = Fraction(1)
     for alpha in op.roots:
         out *= weight_dot(op.lam, alpha)
-    return float(out)
+    return _as_floats([out], "the Liouville prefactor of lam")[0]
 
 
 def _coset_representatives(rs_k: RootSystem, lam: Weight):
@@ -75,16 +82,16 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
     SingularPoint when |alpha(X)| < SINGULAR_GUARD for a root of P_lam."""
     if len(X) != rs_g.rank:
         raise ValueError("dimension mismatch")
-    x = tuple(float(v) for v in X)
+    x = _as_floats(X, "X")
     if any(not math.isfinite(v) for v in x):
         raise ValueError("X must be finite")
     for alpha in op.roots:
         if abs(sum(float(c) * v for c, v in zip(alpha, x))) < SINGULAR_GUARD:
             raise SingularPoint(f"X pairs to ~0 with root {alpha}")
+    lam = _as_floats(op.lam, "lam")
     total = complex(0.0)
     for w in _coset_representatives(rs_k, op.lam):
-        wlam = act(w, op.lam)
-        num = np.exp(1j * sum(float(c) * v for c, v in zip(wlam, x)))
+        num = np.exp(1j * sum(c * v for c, v in zip(act(w, lam), x)))
         den = complex(1.0)
         for alpha in op.roots:
             walpha = act(w, alpha)
@@ -93,46 +100,50 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
     return (-1) ** op.n_noncompact * total
 
 
-def _haar_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The first n-1 columns of count Haar unitaries, up to a left diagonal phase.
+def _column_forms(n: int, x: np.ndarray, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """x.|u_j|^2 for the first n-1 columns u_j of count Haar unitaries U.
 
-    Returns the real and imaginary parts as one (part, column, row, sample)
-    array.  A Haar U is the Gram-Schmidt Q of a complex Gaussian matrix
-    (Mezzadri, Notices AMS 54, 2007), and DU is Haar for every diagonal
-    unitary D, so the first column can be taken real: it is sqrt(w) with
-    w ~ Dirichlet(1, ..., 1), n standard exponentials over their sum.  Columns
-    1 to n-2 are Gram-Schmidt on complex Gaussians (the 1/sqrt(2) is left
-    out, Gram-Schmidt does not see the scale), each projected off the
-    earlier columns twice before it is normalised, which keeps them
-    orthogonal to machine precision (Giraud, Langou and Rozloznik, 2005).
-    A sample costs n exponentials and 2n(n-2) normals; n = 1 draws nothing.
+    Subgroup algorithm (Diaconis and Shahshahani, 1987): column j is B_j c_j,
+    with B_j an orthonormal basis of the complement of the earlier columns and
+    c_j uniform on the unit sphere of C^{n-j}.  No weight moves under a left
+    diagonal phase or a phase on c_j, so column 0 is real, sqrt(e / sum e)
+    from n exponentials, and every c_j has a real first entry.  Only
+    M_j = B_j* diag(x) B_j is carried: x.|u_j|^2 = c_j* M_j c_j, and
+    H = I - u u*/h with u = e_1 + c_j and h = 1 + c_j0 >= 1 sends e_1 to -c_j,
+    so M_{j+1} = (H M_j H)[1:, 1:].  A middle c_j takes its moduli from n-j
+    exponentials and its phases from n-j-1 uniforms; the last, (sqrt(a),
+    sqrt(1-a) e^{i phi}) in C^2, takes a and phi uniform.  A U(3) sample draws
+    3 exponentials and 2 uniforms; n = 1 draws nothing.
     """
-    cols = np.zeros((2, n - 1, n, count))
     if n < 2:
-        return cols
+        return []
     e = rng.standard_exponential((n, count))
-    q0 = np.sqrt(e / e.sum(0))
-    cols[0, 0] = q0
-    cols[:, 1:] = rng.standard_normal((2, n - 2, n, count))
-    re, im = cols
-    for j in range(1, n - 1):
-        vr, vi = re[j], im[j]
-        for _ in range(2):
-            # q0 is real, so <q0, v> = sum_k q0_k v_k
-            cr, ci = (q0 * vr).sum(0), (q0 * vi).sum(0)
-            vr -= q0 * cr
-            vi -= q0 * ci
-            for i in range(1, j):
-                qr, qi = re[i], im[i]
-                # c = <q, v> = sum_k conj(q_k) v_k, then v -= q c
-                cr = (qr * vr).sum(0) + (qi * vi).sum(0)
-                ci = (qr * vi).sum(0) - (qi * vr).sum(0)
-                vr -= qr * cr - qi * ci
-                vi -= qr * ci + qi * cr
-        norm = np.sqrt((vr * vr).sum(0) + (vi * vi).sum(0))
-        vr /= norm
-        vi /= norm
-    return cols
+    w = e / e.sum(0)
+    c = np.sqrt(w)
+    forms, mat, v = [x @ w], np.diag(x).tolist(), x[:, None] * c
+    for m in range(n - 1, 1, -1):  # m: dimension of the complement after column c
+        # M <- (H M H)[1:, 1:] = M - u p* - p u* on rows and columns 1:, with
+        # p = (g - u s/2h)/h, g = M u = v + M e_1, s = u* g = c* M c + 2 Re v_0 + M_00
+        h = 1.0 + c[0]
+        half = (forms[-1] + 2 * v[0].real + mat[0][0]) / (2 * h)
+        p = [(vk + row[0] - half * ck) / h for vk, row, ck in zip(v[1:], mat[1:], c[1:])]
+        cb, pb = [ck.conj() for ck in c[1:]], [pk.conj() for pk in p]
+        mat = [[mkl - ck * pl - pk * cl for mkl, cl, pl in zip(row[1:], cb, pb)] for row, ck, pk in zip(mat[1:], c[1:], p)]
+        if m > 2:
+            e = rng.standard_exponential((m, count))
+            r = np.sqrt(e / e.sum(0))
+            phi = (2 * np.pi) * rng.random((m - 1, count))
+            c = [r[0], *(r[1:] * (np.cos(phi) + 1j * np.sin(phi)))]
+            v = [sum(mkl * cl for mkl, cl in zip(row, c)) for row in mat]
+            forms.append(sum((ck.conj() * vk).real for ck, vk in zip(c, v)))
+        else:
+            a, phi = rng.random((2, count))
+            phi *= 2 * np.pi
+            # Re(M_01 e^{i phi}); M_01 is real when column 0 is the only earlier one
+            m01 = mat[0][1]
+            cross = m01.real * np.cos(phi) - (m01.imag * np.sin(phi) if np.iscomplexobj(m01) else 0.0)
+            forms.append(np.real(a * mat[0][0] + (1 - a) * mat[1][1]) + 2 * np.sqrt(a * (1 - a)) * cross)
+    return forms
 
 
 @dataclass(frozen=True)
@@ -187,12 +198,12 @@ def orbit_integral_oracle(
     by the Liouville prefactor over the superfactorial constant so they
     target the same quantity as rdv_fourier.
 
-    The trace needs only the weights |u_ij|^2.  Each batch draws the first
-    n-1 columns with _haar_columns; every row of U has unit norm, so the
+    The trace needs only x.|u_j|^2 for the first n-1 columns, which each
+    batch draws with _column_forms; every row of U has unit norm, so the
     last column's weights are 1 - sum_{j<n-1} |u_ij|^2.
     """
-    lam_f = [float(v) for v in lam]
-    x = [float(v) for v in X]
+    lam_f = _as_floats(lam, "lam")
+    x = _as_floats(X, "X")
     if len(lam_f) != n or len(x) != n:
         raise ValueError("dimension mismatch")
     if not all(map(math.isfinite, lam_f)):
@@ -213,13 +224,12 @@ def orbit_integral_oracle(
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
     sums = []
     for count, ss in zip(counts, seeds):
-        re, im = _haar_columns(n, count, np.random.default_rng(ss))
         # diag(U diag(lam) U*) = |U|^2 lam; with the last column's weights
         # 1 - sum_{j<n-1} |u_ij|^2 the phase x.|U|^2 lam is
         # lam_last sum(x) + sum_{j<n-1} (lam_j - lam_last) x.|u_.j|^2
         phase = np.full(count, lam_f[-1] * math.fsum(x))
-        for j in range(n - 1):
-            phase += (lam_f[j] - lam_f[-1]) * (xdiag @ (re[j] * re[j] + im[j] * im[j]))
+        for lam_j, form in zip(lam_f, _column_forms(n, xdiag, count, np.random.default_rng(ss))):
+            phase += (lam_j - lam_f[-1]) * form
         sums.append(complex(np.cos(phase).sum(), np.sin(phase).sum()))
     mean = complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)) / n_samples
     # every sample has modulus one, so mean |v - mean|^2 = 1 - |mean|^2

@@ -138,6 +138,25 @@ def test_oracle_and_rdv_cli(capsys):
     assert abs(val["re"] - ref["re"]) < 1e-9 and abs(val["im"] - ref["im"]) < 1e-9
 
 
+def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
+    for argv in (
+        ["oracle", "--n", "2", "--lam=1e400,0", "--x=1,2"],
+        ["oracle", "--n", "2", "--lam=1e400,0", "--x=1,2", "--method", "hciz"],
+        ["rdv", "--n", "2", "--lam=1e400,0", "--x=1,2"],
+        ["oracle", "--n", "3", "--lam=1e200,0,-1e200", "--x=1,2,3"],
+    ):
+        code, out, err = call(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("ValueError: ") and err.count("\n") == 1 and "lam does not fit a float" in err, argv
+
+
+def test_only_the_verify_subcommand_imports_the_check_table():
+    probe = "import sys, howechar.cli; print('howechar.verify' in sys.modules); sys.exit(howechar.cli.run(['verify', '--quick']))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "False"
+
+
 def test_run_function_in_process():
     assert run(["roots", "--family", "A", "--rank", "2"]) == 0
     with pytest.raises(SystemExit) as exc:  # no point source is an argument error

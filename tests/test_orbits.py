@@ -8,7 +8,7 @@ import pytest
 from howechar.errors import MonteCarloOnly, SingularPoint
 from howechar.orbits import (
     MC_BATCH,
-    _haar_columns,
+    _column_forms,
     hciz_mean,
     liouville_normalization,
     orbit_integral_oracle,
@@ -109,26 +109,33 @@ def test_rdv_regularity_guard():
         rdv_fourier(A2, A2, op, (1.0, 1.0))
 
 
-def _phase_fixed_qr(n, count, rng):
-    # reference kernel: Householder QR of [sqrt(e) | z_1 ... z_{n-2} | z], the
-    # first n-1 columns drawn as _haar_columns draws them and the last one an
-    # extra Gaussian column, with R's diagonal phases moved into Q so that R
-    # has a positive diagonal
+def _householder_unitaries(n, count, rng):
+    # reference: all n columns of U as explicit matrix products, from the
+    # draws _column_forms makes in the order it makes them.  Column j is B_j c_j
+    # and B_{j+1} = B_j H_j[:, 1:] with the Householder H_j = I - u u*/h,
+    # u = e_1 + c_j, h = 1 + c_j0; the last column is what B is left with.
+    # Returns a complex (sample, row, column) array.
+    basis = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
     cols = []
-    if n > 1:
-        cols.append(np.sqrt(rng.standard_exponential((n, count))))
-        z = rng.standard_normal((2, n - 2, n, count))
-        cols.extend(z[0] + 1j * z[1])
-    cols.append(rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count)))
-    q, r = np.linalg.qr(np.stack(cols).transpose(2, 1, 0))
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def _columns(n, count, rng):
-    # the first n-1 Haar columns as a complex (sample, row, column) array
-    re, im = _haar_columns(n, count, rng)
-    return (re + 1j * im).transpose(2, 1, 0)
+    for m in range(n, 1, -1):
+        if m == n:
+            e = rng.standard_exponential((n, count))
+            c = np.sqrt(e / e.sum(0)).astype(complex)
+        elif m > 2:
+            e = rng.standard_exponential((m, count))
+            r = np.sqrt(e / e.sum(0))
+            c = np.concatenate([r[:1], r[1:] * np.exp(2j * np.pi * rng.random((m - 1, count)))])
+        else:
+            a, phi = rng.random((2, count))
+            c = np.stack([np.sqrt(a), np.sqrt(1 - a) * np.exp(2j * np.pi * phi)])
+        c = c.T
+        cols.append((basis @ c[:, :, None])[:, :, 0])
+        u = c.copy()
+        u[:, 0] += 1
+        householder = np.eye(m) - u[:, :, None] * u[:, None, :].conj() / u[:, :1, None].real
+        basis = basis @ householder[:, :, 1:]
+    cols.append(basis[:, :, 0])
+    return np.stack(cols, axis=2)
 
 
 def _max_gram_error(q):
@@ -136,79 +143,93 @@ def _max_gram_error(q):
     return np.abs(gram - np.eye(q.shape[2])).max(initial=0.0)
 
 
-def test_haar_columns_are_orthonormal():
-    for n in (1, 2, 3, 5):
-        q = _columns(n, 4096, np.random.default_rng(0))
-        assert q.shape == (4096, n, n - 1)
-        assert _max_gram_error(q) <= 1e-13
+X5 = np.array([1.0, -0.5, 0.7, -1.3, 0.2])
 
 
-class _NearlyDependentColumns:
-    # stands in for a Generator: every Gaussian column differs from the real
-    # first column sqrt(e / sum e) by 1e-6 times a random vector
+def _max_form_error(n, count, make_rng):
+    # largest |x.|u_j|^2 - form_j| between _column_forms and the reference
+    forms = _column_forms(n, X5[:n], count, make_rng())
+    assert len(forms) == n - 1
+    u = _householder_unitaries(n, count, make_rng())
+    return max((np.abs(f - (np.abs(u[:, :, j]) ** 2) @ X5[:n]).max() for j, f in enumerate(forms)), default=0.0)
+
+
+def test_householder_reference_is_orthonormal():
+    for n in range(1, 6):
+        u = _householder_unitaries(n, 4096, np.random.default_rng(n))
+        assert u.shape == (4096, n, n)
+        assert _max_gram_error(u) <= 1e-13
+
+
+def test_column_forms_match_householder_reference():
+    # the compressed form c* M c must give the reference's x.|u_j|^2 from the
+    # same draws, up to roundoff
+    for n in range(1, 6):
+        assert _max_form_error(n, 4096, lambda: np.random.default_rng(11 + n)) <= 1e-13
+
+
+class _ExtremeDraws:
+    # stands in for a Generator: exponentials spread over 24 orders of
+    # magnitude and uniforms within 1e-12 of 0 or 1, so the moduli of each
+    # column are nearly a basis vector or nearly split between two entries
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
     def standard_exponential(self, shape):
-        self.e = self.rng.standard_exponential(shape)
-        return self.e
+        return 10.0 ** self.rng.uniform(-12, 12, shape)
 
-    def standard_normal(self, shape):
-        z = 1e-6 * self.rng.standard_normal(shape)
-        z[0] += np.sqrt(self.e / self.e.sum(0))
-        return z
+    def random(self, shape):
+        u = self.rng.random(shape)
+        return np.where(u < 0.5, 1e-12 * u, 1 - 1e-12 * u)
 
 
-def test_haar_columns_stay_orthonormal_on_nearly_dependent_columns():
-    # one Gram-Schmidt pass leaves errors near 1e-8 here; the second pass
-    # brings the columns back to orthogonal at machine precision
-    for n in (2, 3, 5):
-        q = _columns(n, 4096, _NearlyDependentColumns(3))
-        assert _max_gram_error(q) <= 1e-13
-
-
-def test_haar_columns_match_phase_fixed_qr():
-    # QR with a positive-diagonal R is unique, so both kernels must return
-    # the same first n-1 columns for the same draws, up to roundoff
-    for n in (1, 2, 3, 5):
-        q = _columns(n, 4096, np.random.default_rng(11 + n))
-        ref = _phase_fixed_qr(n, 4096, np.random.default_rng(11 + n))
-        assert np.abs(q - ref[:, :, : n - 1]).max(initial=0.0) <= 1e-12
+def test_column_forms_match_reference_on_extreme_draws():
+    # h = 1 + c_0 >= 1, so no step cancels, whichever entry the modulus sits in
+    for n in range(2, 6):
+        u = _householder_unitaries(n, 4096, _ExtremeDraws(3))
+        assert _max_gram_error(u) <= 1e-13
+        assert _max_form_error(n, 4096, lambda: _ExtremeDraws(3)) <= 1e-13
 
 
 class _CountingGenerator:
     # stands in for a Generator and counts the variates drawn of each kind
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.drawn = {"standard_exponential": 0, "standard_normal": 0}
+        self.drawn = {"standard_exponential": 0, "random": 0, "standard_normal": 0}
 
     def standard_exponential(self, shape):
         self.drawn["standard_exponential"] += math.prod(shape)
         return self.rng.standard_exponential(shape)
+
+    def random(self, shape):
+        self.drawn["random"] += math.prod(shape)
+        return self.rng.random(shape)
 
     def standard_normal(self, shape):
         self.drawn["standard_normal"] += math.prod(shape)
         return self.rng.standard_normal(shape)
 
 
-def test_haar_columns_draw_n_exponentials_and_2n_n_minus_2_normals_per_sample():
+def test_column_forms_draw_exponentials_and_uniforms_only():
+    # column 0 takes n exponentials, a middle column in C^m takes m
+    # exponentials and m-1 uniforms, the last free column 2 uniforms
     count = 1000
-    for n in range(1, 6):
+    per_sample = {1: (0, 0), 2: (2, 0), 3: (3, 2), 4: (4 + 3, 2 + 2), 5: (5 + 4 + 3, 3 + 2 + 2)}
+    for n, (exponentials, uniforms) in per_sample.items():
         rng = _CountingGenerator(n)
-        _haar_columns(n, count, rng)
-        expect_exp, expect_normal = (n, 2 * n * (n - 2)) if n > 1 else (0, 0)
-        assert rng.drawn == {"standard_exponential": expect_exp * count, "standard_normal": expect_normal * count}
+        _column_forms(n, X5[:n], count, rng)
+        assert rng.drawn == {"standard_exponential": exponentials * count, "random": uniforms * count, "standard_normal": 0}
 
 
 def test_haar_weights_match_weingarten_moments():
     # exact Haar moments of w_ij = |u_ij|^2 (Collins-Sniady): E w = 1/n,
     # E w^2 = 2/(n(n+1)), E w_i0 w_i1 = 1/(n(n+1)), E w_00 w_11 = 1/(n^2-1);
-    # each sample mean lies within 5 standard errors
+    # w_ij is the form of column j at x = e_i, drawn with the same seed for
+    # every i; each sample mean lies within 5 standard errors
     count = 200_000
     for n in (2, 3, 4, 5):
-        re, im = _haar_columns(n, count, np.random.default_rng(100 + n))
-        w = re * re + im * im
-        w = np.concatenate([w, 1.0 - w.sum(0, keepdims=True)])  # (column, row, sample)
+        w = np.array([_column_forms(n, np.eye(n)[i], count, np.random.default_rng(100 + n)) for i in range(n)])
+        w = np.concatenate([w, 1.0 - w.sum(1, keepdims=True)], axis=1).transpose(1, 0, 2)  # (column, row, sample)
         moments = [(w[j, i], 1 / n) for i in range(n) for j in range(n)]
         moments += [(w[j, i] ** 2, 2 / (n * (n + 1))) for i in range(n) for j in range(n)]
         moments += [(w[0, i] * w[1, i], 1 / (n * (n + 1))) for i in range(n)]
@@ -219,9 +240,9 @@ def test_haar_weights_match_weingarten_moments():
 
 
 def test_monte_carlo_stderr_matches_two_pass_formula():
-    # redraw each of the oracle's chunks from the same child seed, complete it
-    # to a full unitary by the phase-fixed QR reference and take the mean and
-    # the two-pass standard error from the full |U|^2; lam has a nonzero last
+    # redraw each of the oracle's chunks from the same child seed as full
+    # unitaries by the Householder reference and take the mean and the
+    # two-pass standard error from the full |U|^2; lam has a nonzero last
     # entry, so the weights of the last column enter the integrand
     n_samples, seed = 20_000, 5
     counts = [min(MC_BATCH, n_samples - i) for i in range(0, n_samples, MC_BATCH)]
@@ -233,7 +254,7 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
         scale = liouville_normalization(orbit_parameter(rs, rs, lam)) / superfactorial
         lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
-        u = np.concatenate([_phase_fixed_qr(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
+        u = np.concatenate([_householder_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
         vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
         mean = scale * vals.mean()
         stderr = scale * np.sqrt((np.abs(vals - vals.mean()) ** 2).mean() / len(vals))
@@ -245,6 +266,16 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
             assert est.stderr <= floor and stderr <= floor
         else:
             assert abs(est.stderr - stderr) <= 1e-12 * stderr, n
+
+
+def test_monte_carlo_matches_hciz_at_every_rank():
+    # the determinant closed form shares no code with the sampler
+    lam = [3, 1, 0, -2, 4]
+    x = [0.9, -0.4, 1.7, -1.2, 0.3]
+    for n in (2, 3, 4, 5):
+        est = orbit_integral_oracle(n, lam[:n], x[:n], n_samples=200_000, seed=n, method="mc")
+        truth = orbit_integral_oracle(n, lam[:n], x[:n], method="hciz").value
+        assert abs(est.value - truth) <= 4 * est.stderr, n
 
 
 def test_hciz_matches_rdv():
