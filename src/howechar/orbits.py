@@ -22,6 +22,7 @@ calibration the tests pin at a reference point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,12 @@ def _as_floats(values: Sequence, name: str) -> list[float]:
         raise ValueError(f"{name} does not fit a float") from None
 
 
+def _check_finite(value: complex, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} overflows a float")
+    return value
+
+
 def liouville_normalization(op: OrbitParameter) -> float:
     """prod over P_lam of <lam, alpha>; strictly positive by construction."""
     out = Fraction(1)
@@ -91,13 +98,15 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
     lam = _as_floats(op.lam, "lam")
     total = complex(0.0)
     for w in _coset_representatives(rs_k, op.lam):
-        num = np.exp(1j * sum(c * v for c, v in zip(act(w, lam), x)))
+        phase = sum(c * v for c, v in zip(act(w, lam), x))
         den = complex(1.0)
         for alpha in op.roots:
             walpha = act(w, alpha)
             den *= 1j * sum(float(c) * v for c, v in zip(walpha, x))
-        total += num / den
-    return (-1) ** op.n_noncompact * total
+        _check_finite(phase, "the pairing of lam with X")
+        _check_finite(den, "the product of the root pairings of X")
+        total += np.exp(1j * phase) / den
+    return (-1) ** op.n_noncompact * _check_finite(total, "the orbit Fourier transform")
 
 
 def _column_forms(n: int, x: np.ndarray, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -173,14 +182,18 @@ def hciz_mean(lam: Sequence[float], X: Sequence[float]) -> complex:
                 out *= v[i] - v[j]
         return out
 
-    v_lam, v_x = vandermonde(lam), vandermonde(x)
+    v_lam = _check_finite(vandermonde(lam), "the product of the root pairings of lam")
+    v_x = _check_finite(vandermonde(x), "the product of the root pairings of X")
     if abs(v_lam) < 1e-12:
         raise MonteCarloOnly("lam has (nearly) repeated entries; determinant form degenerates")
     if abs(v_x) < 1e-12:
         raise SingularPoint("X has (nearly) repeated entries")
-    M = np.exp(1j * np.outer(lam, x))
+    phases = np.outer(lam, x)
+    if not np.isfinite(phases).all():
+        raise ValueError("a pairing lam_j x_k overflows a float")
+    M = np.exp(1j * phases)
     cn = math.prod(math.factorial(k) for k in range(1, n))
-    return complex(cn * np.linalg.det(M) / ((1j) ** (n * (n - 1) // 2) * v_lam * v_x))
+    return _check_finite(complex(cn * np.linalg.det(M) / ((1j) ** (n * (n - 1) // 2) * v_lam * v_x)), "the HCIZ mean")
 
 
 def orbit_integral_oracle(

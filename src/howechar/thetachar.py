@@ -9,8 +9,9 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from typing import Sequence
+from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class ThetaCharacter:
     m: int
 
     @cached_property
-    def orbit_table(self) -> dict[tuple[int, ...], int]:
+    def orbit_table(self) -> Mapping[tuple[int, ...], int]:
         """The one representation of the instance: the numerator
         sum_v c_v sum_{tau in W(K')} sign(tau) h^{tau(v)}, keyed by the doubled
         block-decreasing exponent 2v with int coefficient c_v.
@@ -51,7 +52,8 @@ class ThetaCharacter:
         orbit of u = base_eta + z(rho_z).  That sum is zero when u repeats a
         value inside a K' block, and otherwise sign(tau) times the sum over
         the block-sorted v with act(tau, v) == u; so the signs are collected
-        per v.
+        per v.  The table is a read-only view: theta_character shares the
+        instance with every caller.
         """
         pair = self.pair
         S = embedded_index_set(pair, self.m)
@@ -66,24 +68,32 @@ class ThetaCharacter:
                     continue
                 v, sgn_tau = _block_sorted(pair, u)
                 table[v] = table.get(v, 0) + sgn_eta * sgn_z * sgn_tau
-        return {v: c for v, c in table.items() if c}
+        return MappingProxyType({v: c for v, c in table.items() if c})
 
     @cached_property
-    def numerator(self) -> dict[tuple[int, ...], int]:
-        """orbit_table expanded over W(K'): doubled exponent 2e -> int coefficient."""
+    def numerator(self) -> Mapping[tuple[int, ...], int]:
+        """orbit_table expanded over W(K'), read-only: doubled exponent 2e ->
+        int coefficient."""
         out: dict[tuple[int, ...], int] = {}
         for v, c in self.orbit_table.items():
             out.update(_alternating_orbit_terms(self.pair, v, c))
-        return out
+        return MappingProxyType(out)
 
     @cached_property
     def _float_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """orbit_table as float exponents v and coefficients c_v, beside the
-        positive roots of g' as rows."""
+        positive roots of g' as rows; all three arrays are read-only."""
         table = self.orbit_table
         exps = np.array(list(table), dtype=float).reshape(len(table), self.pair.rank_gprime) / 2
         coeffs = np.array(list(table.values()), dtype=float)
+        exps.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
         return exps, coeffs, root_rows(self.pair.rs_gprime)
+
+
+# Instances theta_character keeps compiled.  A workload round or a test module
+# touches a few dozen; the bound keeps a census-style loop over hundreds of
+# instances from holding every table it ever compiled.
+THETA_CACHE_SIZE = 128
 
 
 def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> ThetaCharacter:
@@ -91,7 +101,19 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
 
     For the UU pair m may be chosen anywhere in the support interval
     (default: its upper end); the other pairs have a single embedding.
+
+    Instances are memoised per process (the THETA_CACHE_SIZE most recent):
+    equal arguments, with nu given as ints, strings or Fractions and m
+    omitted or given as the index it resolves to, return the same instance,
+    shared by every caller, so its tables are compiled once and are
+    read-only.  Invalid arguments raise on every call.  ThetaCharacter(...)
+    still builds a fresh instance.
     """
+    return _theta_character(pair, tuple(Fraction(v) for v in nu), m)
+
+
+@lru_cache(maxsize=THETA_CACHE_SIZE)
+def _theta_character(pair: DualPairSpec, nu: tuple[Fraction, ...], m: int | None) -> ThetaCharacter:
     cd = validate_weight(pair, nu)
     interval = support_interval(pair, cd)
     if pair.kind is PairKind.UU:
@@ -99,12 +121,13 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
         lo, hi = max(interval.lo, s_lo), min(interval.hi, s_hi)
         if lo > hi:
             raise FormulaInconsistency(f"support interval {interval} misses the embeddable range")
-        if m is None:
-            m = hi
-        if not lo <= m <= hi:
+        resolved = hi if m is None else m
+        if not lo <= resolved <= hi:
             raise ValueError(f"m = {m} outside [{lo}, {hi}]")
     else:
-        m = pair.n
+        resolved = pair.n
+    if resolved != m:  # share the entry of the index m resolves to
+        return _theta_character(pair, nu, resolved)
     return ThetaCharacter(pair, cd, interval, m)
 
 

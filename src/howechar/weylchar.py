@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ SCHUR_WEIGHT_CAP = 12  # largest |lam| schur_oracle enumerates
 SCHUR_LENGTH_CAP = 5  # most variables schur_oracle accepts
 SKIP_TOL = 1e-12  # |Delta_0|^2 below this marks a grid point as singular
 MAX_SKIP_FRACTION = 0.01  # share of regular grid points that may be non-finite
+
+_ratio = methodcaller("as_integer_ratio")  # exact for int, Fraction and float
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,12 @@ class QuadratureGrid:
 
 
 @cache
-def _shifted_weight(rs: RootSystem, lam: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """lam + rho as floats and the positive roots as rows, once per (rs, lam)."""
+def _shifted_weight(rs: RootSystem, ratios: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """lam + rho as floats and the positive roots as rows, once per (rs, lam).
+
+    lam comes as its entries' (numerator, denominator) pairs: an int pair
+    hashes in a fraction of the time a Fraction does."""
+    lam = tuple(Fraction(*r) for r in ratios)
     if not is_dominant(rs, lam):
         raise ValueError(f"{lam} is not dominant for {rs.family}{rs.rank}")
     x = np.array(weight_add(lam, rho(rs)), dtype=float)
@@ -72,7 +79,7 @@ def weyl_character(rs: RootSystem, lam: Weight, theta: Sequence[float]) -> compl
     is a determinant in x = lam + rho (Macdonald, I.3): det(h_k^{x_j}) for A,
     det(h_k^{x_j} - h_k^{-x_j}) for B and C, and for D, whose W flips an even
     number of signs, the mean of that and det(h_k^{x_j} + h_k^{-x_j})."""
-    x, roots = _shifted_weight(rs, tuple(lam))
+    x, roots = _shifted_weight(rs, tuple(map(_ratio, lam)))
     th = np.asarray(theta, dtype=float)
     den = guarded_denominator(roots, th)
     phase = np.outer(x, th)

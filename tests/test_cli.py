@@ -2,6 +2,7 @@ import cmath
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -148,6 +149,20 @@ def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
         code, out, err = call(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("ValueError: ") and err.count("\n") == 1 and "lam does not fit a float" in err, argv
+
+
+def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
+    # finite but huge points: the product of the root pairings overflows, which
+    # printed {"re": NaN, "im": NaN} with a RuntimeWarning and exit status 0
+    for argv in (
+        ["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"],
+        ["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = call(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "ValueError: the product of the root pairings of X overflows a float\n", argv
 
 
 def test_only_the_verify_subcommand_imports_the_check_table():

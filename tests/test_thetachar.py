@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from howechar.errors import FormulaInconsistency, NotMinimalKType, SingularPoint
+from howechar.errors import FormulaInconsistency, NotInCorrespondence, NotMinimalKType, SingularPoint
 from howechar.howe import dual_pair, kprime_weyl
 from howechar.rootsys import act, weight
 from howechar.thetachar import (
+    ThetaCharacter,
     character_series,
     ktype_expansion,
     normalizing_constant,
@@ -376,9 +377,57 @@ def test_constant_op_compiles_the_numerator_once(monkeypatch, capsys):
     expansion = cached_property(counted)
     expansion.__set_name__(tmod.ThetaCharacter, "numerator")
     monkeypatch.setattr(tmod.ThetaCharacter, "numerator", expansion)
-    assert run(["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"]) == 0
-    capsys.readouterr()
+    argv = ["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2"]
+    assert run(argv) == 0
+    first = capsys.readouterr()
     assert len(calls) == 1
+    # a second identical op in the same process reuses the shared instance
+    assert run(argv) == 0
+    assert capsys.readouterr() == first
+    assert len(calls) == 1
+
+
+def test_theta_character_is_one_shared_instance_per_argument():
+    pair = dual_pair("uu", 2, p=2, q=2)
+    tc = theta_character(pair, [1, 0])
+    assert theta_character(pair, ("1", "0")) is tc
+    assert theta_character(pair, (F(1), F(0)), m=tc.m) is tc
+    # m = 1 and m = 2 both lie in the support interval of nu = (0, 0)
+    tc1, tc2 = (theta_character(pair, [0, 0], m=m) for m in (1, 2))
+    assert tc1 is not tc2 and (tc1.m, tc2.m) == (1, 2)
+    assert theta_character(pair, [0, 0]) is tc2
+    # the other pairs have one embedding, whatever m is passed
+    oeven = dual_pair("oeven-sp", 1, m=2)
+    assert theta_character(oeven, [1], m=5) is theta_character(oeven, [1])
+    # a fresh instance can still be built directly
+    assert ThetaCharacter(pair, tc.cd, tc.interval, tc.m) is not tc
+
+
+def test_theta_character_raises_on_every_call_for_an_invalid_weight():
+    pair = dual_pair("uu", 2, p=2, q=2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotInCorrespondence) as exc:
+            theta_character(pair, [0, 1])
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "not weakly decreasing" in messages[0]
+
+
+def test_shared_tables_are_read_only():
+    tc = theta_character(dual_pair("uu", 2, p=2, q=1), [F(1, 2), F(-1, 2)])
+    v = next(iter(tc.orbit_table))
+    e = next(iter(tc.numerator))
+    with pytest.raises(TypeError):
+        tc.orbit_table[v] = 0
+    with pytest.raises(TypeError):
+        tc.numerator[e] = 0
+    for array in tc._float_table:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0
+    # numerator_terms is the caller's own copy
+    terms = numerator_terms(tc)
+    terms.clear()
+    assert numerator_terms(tc) and len(numerator_terms(tc)) == len(tc.numerator)
 
 
 def test_ktype_expansion_rejects_a_broken_alternation(monkeypatch):
@@ -582,8 +631,9 @@ def test_theta_independent_of_eta_coset_representatives():
     original = tmod.eta_cosets
     try:
         tmod.eta_cosets = twisted
-        # a fresh instance, so the twisted representative reaches the compile
-        twisted_tc = theta_character(pair, [0, 0], m=2)
+        # a fresh instance, not the shared one, so the twisted representative
+        # reaches the compile
+        twisted_tc = tmod.ThetaCharacter(pair, tc.cd, tc.interval, tc.m)
         twisted_vals = [theta_eval(twisted_tc, th) for th in points]
     finally:
         tmod.eta_cosets = original
