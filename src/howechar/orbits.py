@@ -105,8 +105,9 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
             den *= 1j * sum(float(c) * v for c, v in zip(walpha, x))
         _check_finite(phase, "the pairing of lam with X")
         _check_finite(den, "the product of the root pairings of X")
-        total += np.exp(1j * phase) / den
-    return (-1) ** op.n_noncompact * _check_finite(total, "the orbit Fourier transform")
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
+            total = _check_finite(total + np.exp(1j * phase) / den, "the orbit Fourier transform")
+    return (-1) ** op.n_noncompact * total
 
 
 def _column_forms(n: int, x: np.ndarray, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -188,12 +189,15 @@ def hciz_mean(lam: Sequence[float], X: Sequence[float]) -> complex:
         raise MonteCarloOnly("lam has (nearly) repeated entries; determinant form degenerates")
     if abs(v_x) < 1e-12:
         raise SingularPoint("X has (nearly) repeated entries")
-    phases = np.outer(lam, x)
+    with np.errstate(over="ignore"):  # reported as a ValueError instead
+        phases = np.outer(lam, x)
     if not np.isfinite(phases).all():
         raise ValueError("a pairing lam_j x_k overflows a float")
     M = np.exp(1j * phases)
     cn = math.prod(math.factorial(k) for k in range(1, n))
-    return _check_finite(complex(cn * np.linalg.det(M) / ((1j) ** (n * (n - 1) // 2) * v_lam * v_x)), "the HCIZ mean")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
+        mean = complex(cn * np.linalg.det(M) / ((1j) ** (n * (n - 1) // 2) * v_lam * v_x))
+    return _check_finite(mean, "the determinant ratio of the HCIZ mean")
 
 
 def orbit_integral_oracle(

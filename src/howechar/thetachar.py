@@ -42,6 +42,11 @@ class ThetaCharacter:
     interval: SupportInterval
     m: int
 
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only: the compiled tables (read-only
+        views) are not picklable, and a copy compiles its own on first use."""
+        return {f: self.__dict__[f] for f in ("pair", "cd", "interval", "m")}
+
     @cached_property
     def orbit_table(self) -> Mapping[tuple[int, ...], int]:
         """The one representation of the instance: the numerator
@@ -103,11 +108,10 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
     (default: its upper end); the other pairs have a single embedding.
 
     Instances are memoised per process (the THETA_CACHE_SIZE most recent):
-    equal arguments, with nu given as ints, strings or Fractions and m
-    omitted or given as the index it resolves to, return the same instance,
-    shared by every caller, so its tables are compiled once and are
-    read-only.  Invalid arguments raise on every call.  ThetaCharacter(...)
-    still builds a fresh instance.
+    equal arguments (pair, nu, m), with nu given as ints, strings or
+    Fractions, return the same instance, shared by every caller, so its
+    tables are compiled once and are read-only.  Invalid arguments raise on
+    every call.  ThetaCharacter(...) still builds a fresh instance.
     """
     return _theta_character(pair, tuple(Fraction(v) for v in nu), m)
 
@@ -121,13 +125,12 @@ def _theta_character(pair: DualPairSpec, nu: tuple[Fraction, ...], m: int | None
         lo, hi = max(interval.lo, s_lo), min(interval.hi, s_hi)
         if lo > hi:
             raise FormulaInconsistency(f"support interval {interval} misses the embeddable range")
-        resolved = hi if m is None else m
-        if not lo <= resolved <= hi:
+        if m is None:
+            m = hi
+        if not lo <= m <= hi:
             raise ValueError(f"m = {m} outside [{lo}, {hi}]")
     else:
-        resolved = pair.n
-    if resolved != m:  # share the entry of the index m resolves to
-        return _theta_character(pair, nu, resolved)
+        m = pair.n
     return ThetaCharacter(pair, cd, interval, m)
 
 

@@ -152,17 +152,25 @@ def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
 
 
 def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
-    # finite but huge points: the product of the root pairings overflows, which
-    # printed {"re": NaN, "im": NaN} with a RuntimeWarning and exit status 0
-    for argv in (
-        ["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"],
-        ["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"],
+    # finite points at which one step of rdv or the HCIZ formula overflows: a
+    # root pairing or their product at a huge point, rdv's Weyl sum just off
+    # the walls, the HCIZ constant prod k! at n = 27.  Each must end in one
+    # line naming that step, with no NaN value and no RuntimeWarning
+    near_walls = ",".join(repr(k * 1.0000001e-9) for k in range(9, 0, -1))  # each pairing just above the guard
+    half_steps = ",".join(str(k / 2) for k in range(27))
+    for argv, what in (
+        (["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"], "the product of the root pairings of X"),
+        (["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"], "the product of the root pairings of X"),
+        (["rdv", "--n", "2", "--lam=1e200,0", "--x=1e200,0"], "the pairing of lam with X"),
+        (["oracle", "--n", "2", "--lam=1e200,0", "--x=1e200,0", "--method", "hciz"], "a pairing lam_j x_k"),
+        (["rdv", "--n", "9", "--lam=8,7,6,5,4,3,2,1,0", f"--x={near_walls}"], "the orbit Fourier transform"),
+        (["oracle", "--n", "27", f"--lam={half_steps}", f"--x={half_steps}", "--method", "hciz"], "the determinant ratio of the HCIZ mean"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = call(capsys, argv)
         assert (code, out) == (1, ""), argv
-        assert err == "ValueError: the product of the root pairings of X overflows a float\n", argv
+        assert err == f"ValueError: {what} overflows a float\n", argv
 
 
 def test_only_the_verify_subcommand_imports_the_check_table():

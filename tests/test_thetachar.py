@@ -1,6 +1,8 @@
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -391,16 +393,21 @@ def test_theta_character_is_one_shared_instance_per_argument():
     pair = dual_pair("uu", 2, p=2, q=2)
     tc = theta_character(pair, [1, 0])
     assert theta_character(pair, ("1", "0")) is tc
-    assert theta_character(pair, (F(1), F(0)), m=tc.m) is tc
+    assert theta_character(pair, (F(1), F(0))) is tc
     # m = 1 and m = 2 both lie in the support interval of nu = (0, 0)
     tc1, tc2 = (theta_character(pair, [0, 0], m=m) for m in (1, 2))
     assert tc1 is not tc2 and (tc1.m, tc2.m) == (1, 2)
-    assert theta_character(pair, [0, 0]) is tc2
-    # the other pairs have one embedding, whatever m is passed
-    oeven = dual_pair("oeven-sp", 1, m=2)
-    assert theta_character(oeven, [1], m=5) is theta_character(oeven, [1])
     # a fresh instance can still be built directly
     assert ThetaCharacter(pair, tc.cd, tc.interval, tc.m) is not tc
+
+
+def test_a_compiled_instance_pickles_and_copies():
+    tc = theta_character(dual_pair("uu", 2, p=2, q=1), [F(1, 2), F(-1, 2)])
+    point = [0.3, 1.1, 2.0]
+    value = theta_eval(tc, point)
+    for twin in (pickle.loads(pickle.dumps(tc)), copy.deepcopy(tc)):
+        assert twin == tc and twin is not tc
+        assert theta_eval(twin, point) == value and twin.numerator == tc.numerator
 
 
 def test_theta_character_raises_on_every_call_for_an_invalid_weight():
