@@ -121,21 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roots", help="positive roots of a classical system")
-    sp.add_argument("--family", required=True, choices="ABCD")
+    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
 
     sp = sub.add_parser("rho", help="half-sum of positive roots")
-    sp.add_argument("--family", required=True, choices="ABCD")
+    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
 
     sp = sub.add_parser("char", help="Weyl character value at torus points")
-    sp.add_argument("--family", required=True, choices="ABCD")
+    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--weight", required=True)
     _add_point_options(sp)
 
     sp = sub.add_parser("dim", help="Weyl dimension of a highest weight")
-    sp.add_argument("--family", required=True, choices="ABCD")
+    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--weight", required=True)
 
@@ -200,6 +200,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_grammar() -> dict:
+    """build_parser()'s grammar as lookup tables, built once per process.
+
+    Per subcommand: {option string: action}, the Namespace defaults and the
+    required dests.  A subcommand with an action other than a one-value
+    store or a store_true (its help action aside) gets no table."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    top = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
+    grammar = {}
+    for name, sp in commands.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        if all(
+            a.option_strings and (type(a) is argparse._StoreTrueAction or (type(a) is argparse._StoreAction and a.nargs is None))
+            for a in actions
+        ):
+            options = {s: a for a in actions for s in a.option_strings}
+            defaults = {**top, "command": name, **{a.dest: a.default for a in actions}}
+            grammar[name] = options, defaults, {a.dest for a in actions if a.required}
+    return grammar
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, for plain
+    argv: a subcommand, then exact option strings of it, each value given as
+    `--opt=value` or as the next token when that does not start with '-'.
+    None for anything else (help, abbreviations, '--', a negative number as
+    its own token, a bad value, a missing option): argparse decides those."""
+    grammar = _plain_grammar()
+    if not argv or argv[0] not in grammar:
+        return None
+    options, defaults, required = grammar[argv[0]]
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        action = options.get(name)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true, which takes no value
+            if eq:
+                return None
+            value = action.const
+        else:
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse strips a '--' value to an empty list
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _theta_like(args, evaluator):
     pair = _pair_from_args(args)
     nu = _fractions(args.nu)
@@ -223,7 +289,9 @@ def _theta_like(args, evaluator):
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = parser.parse_args(argv)
     if getattr(args, "pair", None) is not None:
         sizes = ("p", "q") if PAIR_ALIASES[args.pair] is PairKind.UU else ("m",)
         missing = [f"--{s}" for s in sizes if getattr(args, s) is None]

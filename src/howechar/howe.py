@@ -30,6 +30,7 @@ from .rootsys import (
     Weight,
     WeylElement,
     build_root_system,
+    format_weight,
     rho,
     signed_permutations,
     weight_add,
@@ -175,11 +176,11 @@ def validate_weight(pair: DualPairSpec, nu: Sequence) -> CorrespondenceData:
     if len(nu) != pair.n:
         raise NotInCorrespondence(f"weight length {len(nu)} != n = {pair.n}")
     if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
-        raise NotInCorrespondence(f"{nu} is not weakly decreasing")
+        raise NotInCorrespondence(f"{format_weight(nu)} is not weakly decreasing")
     if pair.kind is PairKind.UU:
         ints = [v - pair.central_shift for v in nu]
         if any(v.denominator != 1 for v in ints):
-            raise NotInCorrespondence(f"entries of {nu} must lie in (q-p)/2 + Z")
+            raise NotInCorrespondence(f"entries of {format_weight(nu)} must lie in (q-p)/2 + Z")
         n_pos = sum(1 for v in ints if v > 0)
         n_neg = sum(1 for v in ints if v < 0)
         if n_pos > pair.q:
@@ -188,9 +189,9 @@ def validate_weight(pair: DualPairSpec, nu: Sequence) -> CorrespondenceData:
             raise NotInCorrespondence(f"{n_neg} negative entries exceed p = {pair.p}")
     else:
         if any(v.denominator != 1 for v in nu):
-            raise NotInCorrespondence(f"{nu} must be integral")
+            raise NotInCorrespondence(f"{format_weight(nu)} must be integral")
         if nu[-1] < 0:
-            raise NotInCorrespondence(f"{nu} must be nonnegative")
+            raise NotInCorrespondence(f"{format_weight(nu)} must be nonnegative")
     mu = weight_add(nu, pair.rho_g)
     mu_prime = tuple(reversed(mu))
     return CorrespondenceData(pair, nu, mu, mu_prime)
@@ -208,7 +209,7 @@ def support_interval(pair: DualPairSpec, cd: CorrespondenceData) -> SupportInter
     lo = max((k + 1 for k in range(pair.n) if b[k] >= 1), default=0)
     hi = min((k + 1 for k in range(pair.n) if a[k] >= 1), default=pair.n + 1) - 1
     if lo > hi:
-        raise FormulaInconsistency(f"empty support interval ({lo}, {hi}) for {cd.nu}")
+        raise FormulaInconsistency(f"empty support interval ({lo}, {hi}) for {format_weight(cd.nu)}")
     return SupportInterval(lo, hi, a, b)
 
 

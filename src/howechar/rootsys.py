@@ -34,6 +34,11 @@ def weight(*coords) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
+def format_weight(w: Sequence) -> str:
+    """A weight as messages print it, e.g. (0, 1) or (1/2,)."""
+    return "(" + ", ".join(map(str, w)) + ("," if len(w) == 1 else "") + ")"
+
+
 def weight_add(a: Weight, b: Weight) -> Weight:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")

@@ -31,7 +31,7 @@ from .howe import (
     z_weyl,
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import Root, RootSystem, Weight, act, inverse, perm_sign, rho, sign, weight_dot
+from .rootsys import Root, RootSystem, Weight, act, format_weight, inverse, perm_sign, rho, sign, weight_dot
 from .torus import SINGULAR_GUARD, guarded_denominator, root_rows
 
 
@@ -124,7 +124,7 @@ def _theta_character(pair: DualPairSpec, nu: tuple[Fraction, ...], m: int | None
         s_lo, s_hi = structural_m_range(pair)
         lo, hi = max(interval.lo, s_lo), min(interval.hi, s_hi)
         if lo > hi:
-            raise FormulaInconsistency(f"support interval {interval} misses the embeddable range")
+            raise FormulaInconsistency(f"support interval [{interval.lo}, {interval.hi}] misses the embeddable range")
         if m is None:
             m = hi
         if not lo <= m <= hi:
@@ -421,7 +421,7 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
         mult = Fraction(S.doubled[v], C)
         gamma = tuple(Fraction(x, 2) - y for x, y in zip(v, rho0))
         if mult.denominator != 1 or mult < 0:
-            raise FormulaInconsistency(f"multiplicity {mult} for K-type {gamma}")
+            raise FormulaInconsistency(f"multiplicity {mult} for K-type {format_weight(gamma)}")
         result[gamma] = int(mult)
     return result
 
@@ -442,7 +442,7 @@ def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
         raise ValueError("dimension mismatch")
     for start, stop in pair.kprime_blocks:
         if any(lam[i] < lam[i + 1] for i in range(start, stop - 1)):
-            raise ValueError(f"{lam} is not dominant for K'")
+            raise ValueError(f"{format_weight(lam)} is not dominant for K'")
     rho0 = compact_rho(pair)
     v = tuple(a + b for a, b in zip(lam, rho0))
     chamber = dominant_chamber(pair.rank_gprime)
@@ -452,9 +452,9 @@ def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
         if _level(e, chamber) > 2 * level and all(
             e[i] > e[i + 1] for start, stop in pair.kprime_blocks for i in range(start, stop - 1)
         ):
-            above = ", ".join(str(Fraction(x, 2) - y) for x, y in zip(e, rho0))
-            raise NotMinimalKType(f"({', '.join(map(str, lam))}) lies below the K-type ({above}); not the minimal K-type")
+            above = tuple(Fraction(x, 2) - y for x, y in zip(e, rho0))
+            raise NotMinimalKType(f"{format_weight(lam)} lies below the K-type {format_weight(above)}; not the minimal K-type")
     c = S.coefficient(v)
     if c == 0:
-        raise NotMinimalKType(f"({', '.join(map(str, lam))}) pairs to zero; not the minimal K-type")
+        raise NotMinimalKType(f"{format_weight(lam)} pairs to zero; not the minimal K-type")
     return 1 / c

@@ -16,6 +16,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     act,
+    format_weight,
     is_dominant,
     rho,
     sign,
@@ -68,7 +69,7 @@ def _shifted_weight(rs: RootSystem, ratios: tuple[tuple[int, int], ...]) -> tupl
     hashes in a fraction of the time a Fraction does."""
     lam = tuple(Fraction(*r) for r in ratios)
     if not is_dominant(rs, lam):
-        raise ValueError(f"{lam} is not dominant for {rs.family}{rs.rank}")
+        raise ValueError(f"{format_weight(lam)} is not dominant for {rs.family}{rs.rank}")
     x = np.array(weight_add(lam, rho(rs)), dtype=float)
     x.flags.writeable = False  # shared by every caller
     return x, root_rows(rs)
@@ -95,14 +96,14 @@ def weyl_character(rs: RootSystem, lam: Weight, theta: Sequence[float]) -> compl
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """prod <lam+rho, alpha> / <rho, alpha> over positive roots, exactly."""
     if not is_dominant(rs, lam):
-        raise ValueError(f"{lam} is not dominant for {rs.family}{rs.rank}")
+        raise ValueError(f"{format_weight(lam)} is not dominant for {rs.family}{rs.rank}")
     r = rho(rs)
     lam_rho = weight_add(lam, r)
     out = Fraction(1)
     for alpha in rs.positive_roots:
         out *= weight_dot(lam_rho, alpha) / weight_dot(r, alpha)
     if out.denominator != 1 or out <= 0:
-        raise ValueError(f"non-integral dimension {out} for {lam}")
+        raise ValueError(f"non-integral dimension {out} for {format_weight(lam)}")
     return int(out)
 
 

@@ -1,12 +1,14 @@
+import argparse
 import cmath
 import json
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from howechar.cli import main, run
+from howechar.cli import _read_plain, build_parser, main, run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
 
@@ -80,6 +82,8 @@ def test_parse_error_exit_code(capsys, monkeypatch):
         ["char", "--family", "A", "--rank", "2", "--weight", "1,0"],
         ["theta-closed-u1", "--p", "1", "--q", "1", "--lam1", "0", "--m", "1"],
         ["ktypes", *uu, "--nu", "2", "--truncation", "-3"],
+        ["roots", "--family", "AB", "--rank", "2"],  # choices match whole names, not substrings
+        ["roots", "--family", "", "--rank", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -92,6 +96,24 @@ def test_parse_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2 and "--samples" in capsys.readouterr().err
+
+
+def test_domain_errors_print_weights_plainly(capsys):
+    uu = ["--pair", "uu", "--n", "2", "--p", "2", "--q", "2"]
+    for argv, weight in (
+        (["char", "--family", "A", "--rank", "2", "--weight", "0,1", "--theta", "1,2"], "(0, 1) is not dominant for A2"),
+        (["dim", "--family", "B", "--rank", "1", "--weight=-1"], "(-1,) is not dominant for B1"),
+        (["dim", "--family", "A", "--rank", "2", "--weight", "1/2,0"], "non-integral dimension 3/2 for (1/2, 0)"),
+        (["support", *uu, "--nu", "0,1"], "(0, 1) is not weakly decreasing"),
+        (["support", "--pair", "uu", "--n", "1", "--p", "2", "--q", "2", "--nu", "1/2"], "entries of (1/2,) must lie"),
+        (["support", "--pair", "oeven", "--n", "1", "--m", "2", "--nu", "1/2"], "(1/2,) must be integral"),
+        (["support", "--pair", "oeven", "--n", "1", "--m", "2", "--nu=-1"], "(-1,) must be nonnegative"),
+        (["constant", *uu, "--nu", "1,0", "--lambda-min", "0,1,0,0"], "(0, 1, 0, 0) is not dominant for K'"),
+        (["constant", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "2", "--lambda-min", "5,0"], "(5, 0) pairs to zero"),
+    ):
+        code, out, err = call(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert weight in err and "Fraction(" not in err, err
 
 
 def test_singular_point_domain_error(capsys):
@@ -185,6 +207,116 @@ def test_run_function_in_process():
     with pytest.raises(SystemExit) as exc:  # no point source is an argument error
         run(["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"])
     assert exc.value.code == 2
+
+
+def _subparsers():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands.choices
+
+
+def _sweep_tokens(rng, action):
+    """One occurrence of an option: a valid or invalid value, in '=' or separate form."""
+    opt = action.option_strings[0]
+    if action.nargs == 0:
+        return [opt] if rng.random() < 0.9 else [f"{opt}=1"]
+    if action.choices is not None:
+        valid, invalid = [str(c) for c in action.choices], ["AB", "", "2", "x"]
+    elif action.type is int:
+        valid, invalid = ["0", "1", "3", "12", " 4", "-2"], ["x", "1.5", ""]
+    else:
+        valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "x", ""], ["--", "-"]
+    value = rng.choice(valid if rng.random() < 0.85 else invalid)
+    return [f"{opt}={value}"] if rng.random() < 0.5 else [opt, value]
+
+
+STRAY_TOKENS = ["-h", "--help", "--", "stray", "--format", "--format=table", "--ra", "--nu-", "-1", "--n=", "-"]
+
+
+def test_plain_reader_agrees_with_argparse(capsys):
+    # a seeded sweep over every subcommand's options: wherever the reader
+    # returns a Namespace, argparse must return the same one
+    parser, commands = _subparsers()
+    rng = random.Random(20260418)
+    accepted = declined = 0
+    for _ in range(100):
+        for command, sp in commands.items():
+            actions = [a for a in sp._actions if a.option_strings and a.dest != "help"]
+            groups = []
+            for action in actions:
+                if rng.random() < (0.9 if action.required else 0.5):
+                    groups += [_sweep_tokens(rng, action) for _ in range(rng.choice((1, 1, 1, 2)))]
+            if rng.random() < 0.1:
+                groups.append([rng.choice(STRAY_TOKENS)])
+            rng.shuffle(groups)
+            argv = [command] + [t for g in groups for t in g]
+            ns = _read_plain(argv)
+            if ns is None:
+                declined += 1
+                continue
+            accepted += 1
+            assert ns == parser.parse_args(argv), argv
+    capsys.readouterr()
+    assert accepted > 300 and declined > 300, (accepted, declined)
+
+
+PLAIN_ARGV = {
+    "roots": "--family C --rank 2",
+    "rho": "--family=B --rank=3",
+    "char": "--family A --rank 2 --weight 1,0 --theta=1.0,-2.5 --seed 3",
+    "dim": "--family D --rank 4 --weight=-1,0,0,0",
+    "theta": "--pair uu --n 2 --p 4 --q 3 --nu=-1/2,-1/2 --random-regular 16 --seed 577090037",
+    "theta-closed-u1": "--p 3 --q 2 --lam1 1 --m 0 --random-regular 16 --seed 1971955755",
+    "numerator": "--pair oeven --n 1 --m 2 --nu 1 --random-regular 2",
+    "constant": "--pair uu --n 2 --p 2 --q 2 --nu=1,0 --truncation 2 --lambda-min=-1,0,0,0",
+    "ktypes": "--pair ostar --n 2 --m 3 --nu 1,1 --truncation 4",
+    "support": "--pair oodd --n 2 --m 2 --nu 2,1",
+    "identity": "--p 3 --q 4 --k 2 --mode grid",
+    "rdv": "--n 2 --lam=5,-6 --x=-0.18,-1.14",
+    "oracle": "--n 3 --lam=5,1,-5 --x=-0.16,-0.72,-1.74 --samples 1000 --seed 2095328386 --method mc",
+    "verify": "--quick",
+}
+
+
+def test_each_subcommand_has_a_plain_argv_the_reader_takes(capsys, monkeypatch):
+    parser, commands = _subparsers()
+    assert set(PLAIN_ARGV) == set(commands)
+    for command, rest in PLAIN_ARGV.items():
+        argv = [command, *rest.split()]
+        ns = _read_plain(argv)
+        assert ns is not None and ns == parser.parse_args(argv), argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_args called on a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert run(["identity", *PLAIN_ARGV["identity"].split()]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["verdict"] == "proved"
+
+
+def test_inputs_outside_the_plain_grammar_stay_with_argparse(capsys):
+    uu = ["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"]
+    pinned = [
+        (uu + ["--rand", "2", "--seed", "5"], uu + ["--random-regular", "2", "--seed", "5"]),  # an abbreviation
+        (uu + ["--random-regular", "1", "--seed", "-3"], uu + ["--random-regular", "1", "--seed=-3"]),  # a negative number
+        (["--format", "table", "roots", "--family", "A", "--rank", "2"], None),  # an option before the subcommand
+    ]
+    for argv, same_as in pinned:
+        assert _read_plain(argv) is None, argv
+        code, out, err = call(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if same_as is not None:
+            assert call(capsys, same_as) == (code, out, err), argv
+    assert out.startswith("# family: A\n")  # the last argv asked for a table
+    for argv, status, stream in (
+        (["roots", "--family", "A", "--rank", "2", "-h"], 0, "out"),
+        (["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "2", "--nu", "-1/2", "--theta", "1,2"], 2, "err"),
+    ):
+        assert _read_plain(argv) is None, argv
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == status, argv
+        assert getattr(capsys.readouterr(), stream).startswith(f"usage: howechar {argv[0]}"), argv
 
 
 def test_uh_ostar_with_m_one_is_a_domain_error(capsys):
