@@ -20,10 +20,11 @@ import sys
 from fractions import Fraction
 
 from .errors import HowecharError
-from .howe import PairKind, dual_pair, support_interval, validate_weight
+from .howe import DualPairSpec, PairKind, dual_pair, support_interval, validate_weight
 from .orbits import orbit_integral_oracle, orbit_parameter, rdv_fourier
 from .rootsys import build_root_system, rho
 from .thetachar import (
+    ThetaCharacter,
     ktype_expansion,
     normalizing_constant,
     theta_character,
@@ -64,39 +65,17 @@ def _cvalue(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _emit(meta: dict, results: list, warnings: list[str], fmt: str) -> None:
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
+
+
+def _emit(meta: dict, results: list, warnings: list[str]) -> None:
     doc = {"meta": meta, "results": results, "warnings": warnings}
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str))
-        return
-    for key, val in meta.items():
-        print(f"# {key}: {val}")
-    for row in results:
-        print(row)
-    for w in warnings:
-        print(f"! {w}")
-
-
-def _pair_from_args(args):
-    kind = PAIR_ALIASES[args.pair]
-    if kind is PairKind.UU:
-        return dual_pair(kind, args.n, p=args.p, q=args.q)
-    return dual_pair(kind, args.n, m=args.m)
-
-
-def _embedding_choice(args):
-    return args.m if PAIR_ALIASES[args.pair] is PairKind.UU else None
-
-
-def _points_from_args(args, rs):
-    if args.theta is not None:
-        return [tuple(_floats(args.theta))]
-    rng = random.Random(args.seed)
-    return [random_regular(rs, rng) for _ in range(args.random_regular)]
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str))
 
 
 def _add_point_options(sp) -> None:
-    sp.add_argument("--theta", help="comma-separated angles in radians")
+    sp.add_argument("--theta", type=_floats, help="comma-separated angles in radians")
     sp.add_argument("--random-regular", type=int, default=0, metavar="COUNT")
     sp.add_argument("--seed", type=int, default=0)
 
@@ -111,13 +90,12 @@ def _add_pair_options(sp) -> None:
         type=int,
         help="for uu: the embedding index m (default: auto); otherwise the size of the noncompact member",
     )
-    sp.add_argument("--nu", required=True, help="comma-separated rationals, e.g. '3/2,-1/2'")
+    sp.add_argument("--nu", type=_fractions, required=True, help="comma-separated rationals, e.g. '3/2,-1/2'")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="howechar", description=__doc__)
-    parser.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roots", help="positive roots of a classical system")
@@ -131,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("char", help="Weyl character value at torus points")
     sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--weight", required=True)
+    sp.add_argument("--weight", type=_fractions, required=True)
     _add_point_options(sp)
 
     sp = sub.add_parser("dim", help="Weyl dimension of a highest weight")
     sp.add_argument("--family", required=True, choices=tuple("ABCD"))
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--weight", required=True)
+    sp.add_argument("--weight", type=_fractions, required=True)
 
     sp = sub.add_parser("theta", help="dual-pair character at torus points")
     _add_pair_options(sp)
@@ -156,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constant", help="normalizing constant from the minimal K-type")
     _add_pair_options(sp)
-    sp.add_argument("--lambda-min", dest="lambda_min", help="comma-separated rationals; default from the expansion")
+    sp.add_argument(
+        "--lambda-min", dest="lambda_min", type=_fractions, help="comma-separated rationals; default from the expansion"
+    )
     sp.add_argument(
         "--truncation",
         type=int,
@@ -183,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rdv", help="coadjoint-orbit Fourier transform for U(n)")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", required=True, help="comma-separated rationals")
-    sp.add_argument("--x", required=True, help="comma-separated reals")
+    sp.add_argument("--lam", type=_fractions, required=True, help="comma-separated rationals")
+    sp.add_argument("--x", type=_floats, required=True, help="comma-separated reals")
 
     sp = sub.add_parser("oracle", help="Monte-Carlo / determinant orbit oracles")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", required=True)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--lam", required=True)  # parsed by the handler: meta echoes the text as given
+    sp.add_argument("--x", type=_floats, required=True)
     sp.add_argument("--samples", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--method", choices=("mc", "hciz"), default="mc")
@@ -207,9 +187,7 @@ def _plain_grammar() -> dict:
     Per subcommand: {option string: action}, the Namespace defaults and the
     required dests.  A subcommand with an action other than a one-value
     store or a store_true (its help action aside) gets no table."""
-    parser = build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    top = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     grammar = {}
     for name, sp in commands.choices.items():
         actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
@@ -218,7 +196,7 @@ def _plain_grammar() -> dict:
             for a in actions
         ):
             options = {s: a for a in actions for s in a.option_strings}
-            defaults = {**top, "command": name, **{a.dest: a.default for a in actions}}
+            defaults = {"command": name, **{a.dest: a.default for a in actions}}
             grammar[name] = options, defaults, {a.dest for a in actions if a.required}
     return grammar
 
@@ -266,25 +244,98 @@ def _read_plain(argv) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
-def _theta_like(args, evaluator):
-    pair = _pair_from_args(args)
-    nu = _fractions(args.nu)
-    tc = theta_character(pair, nu, m=_embedding_choice(args))
-    points = _points_from_args(args, pair.rs_gprime)
-    results = [{"point": list(pt), "value": _cvalue(evaluator(tc, pt))} for pt in points]
-    meta = {
-        "pair": args.pair,
-        "n": args.n,
-        "p": args.p,
-        "q": args.q,
-        "m": args.m,
-        "nu": [str(v) for v in nu],
-        "m_embed": tc.m,
-        "interval": [tc.interval.lo, tc.interval.hi],
-        "seed": args.seed,
-        "normalization": "up to one overall constant per instance",
-    }
-    return meta, results
+def _pair(args) -> DualPairSpec:
+    kind = PAIR_ALIASES[args.pair]
+    if kind is PairKind.UU:
+        return dual_pair(kind, args.n, p=args.p, q=args.q)
+    return dual_pair(kind, args.n, m=args.m)
+
+
+def _instance(args) -> ThetaCharacter:
+    """The character of --pair at --nu; --m picks the embedding for uu only."""
+    pair = _pair(args)
+    return theta_character(pair, args.nu, m=args.m if pair.kind is PairKind.UU else None)
+
+
+def _at_points(args, rs, f) -> list[dict]:
+    """f at the --theta point, or at --random-regular points of rs drawn from --seed."""
+    if args.theta is not None:
+        points = [tuple(args.theta)]
+    else:
+        rng = random.Random(args.seed)
+        points = [random_regular(rs, rng) for _ in range(args.random_regular)]
+    return [{"point": list(pt), "value": _cvalue(f(pt))} for pt in points]
+
+
+def _results(args, warnings: list[str]) -> tuple[dict, list]:
+    """The meta and results of one parsed op other than verify."""
+    cmd = args.command
+    if cmd in ("roots", "rho", "char", "dim"):
+        rs = build_root_system(args.family, args.rank)
+        meta = {"family": args.family, "rank": args.rank}
+        if cmd == "roots":
+            return {**meta, "count": len(rs.positive_roots)}, [{"root": _strs(alpha)} for alpha in rs.positive_roots]
+        if cmd == "rho":
+            return meta, [{"rho": _strs(rho(rs))}]
+        lam = tuple(args.weight)
+        meta["weight"] = _strs(lam)
+        if cmd == "dim":
+            return meta, [{"dimension": weyl_dimension(rs, lam)}]
+        return {**meta, "seed": args.seed}, _at_points(args, rs, lambda pt: weyl_character(rs, lam, pt))
+    if cmd in ("theta", "numerator"):
+        tc = _instance(args)
+        f = theta_eval if cmd == "theta" else theta_numerator_form
+        meta = {
+            "pair": args.pair,
+            "n": args.n,
+            "p": args.p,
+            "q": args.q,
+            "m": args.m,
+            "nu": _strs(args.nu),
+            "m_embed": tc.m,
+            "interval": [tc.interval.lo, tc.interval.hi],
+            "seed": args.seed,
+            "normalization": "up to one overall constant per instance",
+        }
+        return meta, _at_points(args, tc.pair.rs_gprime, lambda pt: f(tc, pt))
+    if cmd == "theta-closed-u1":
+        meta = {"p": args.p, "q": args.q, "lam1": args.lam1, "m": args.m, "seed": args.seed}
+        rs = build_root_system("A", args.p + args.q)
+        return meta, _at_points(args, rs, lambda pt: theta_u1_closed(args.p, args.q, args.lam1, args.m, pt))
+    if cmd in ("constant", "ktypes"):
+        tc = _instance(args)
+        meta = {"pair": args.pair, "nu": _strs(args.nu), "m_embed": tc.m}
+        if cmd == "ktypes":
+            kt = ktype_expansion(tc, depth=args.truncation)
+            return {**meta, "depth": args.truncation}, [{"ktype": _strs(g), "multiplicity": mult} for g, mult in kt.items()]
+        if args.lambda_min:
+            lam_min = tuple(args.lambda_min)
+        else:
+            lam_min = next(iter(ktype_expansion(tc, depth=4)))
+            warnings.append("lambda-min taken from the expansion's top K-type")
+        C = normalizing_constant(tc, lam_min)
+        return {**meta, "truncation": args.truncation}, [{"lambda_min": _strs(lam_min), "constant": str(C)}]
+    if cmd == "support":
+        pair = _pair(args)
+        cd = validate_weight(pair, args.nu)
+        iv = support_interval(pair, cd)
+        result = {"lo": iv.lo, "hi": iv.hi, "mu_prime": _strs(cd.mu_prime), "a": _strs(iv.a), "b": _strs(iv.b)}
+        return {"pair": args.pair, "nu": _strs(args.nu)}, [result]
+    if cmd == "identity":
+        mode = "deterministic-grid" if args.mode == "grid" else "random-rational"
+        verdict = vandermonde_identity_check(args.p, args.q, args.k, mode=mode, seed=args.seed)
+        meta = {"p": args.p, "q": args.q, "k": args.k, "mode": args.mode, "seed": args.seed}
+        return meta, [{"verdict": verdict.status, "detail": verdict.detail}]
+    if cmd == "rdv":
+        rs = build_root_system("A", args.n)
+        value = rdv_fourier(rs, rs, orbit_parameter(rs, rs, args.lam), args.x)
+        return {"n": args.n, "lam": _strs(args.lam)}, [{"point": args.x, "value": _cvalue(value)}]
+    # oracle
+    est = orbit_integral_oracle(
+        args.n, _fractions(args.lam), args.x, n_samples=args.samples, seed=args.seed, method=args.method
+    )
+    meta = {"n": args.n, "lam": args.lam, "samples": args.samples, "seed": args.seed, "method": est.method}
+    return meta, [{"point": args.x, "value": _cvalue(est.value), "stderr": est.stderr}]
 
 
 def run(argv: list[str]) -> int:
@@ -303,114 +354,14 @@ def run(argv: list[str]) -> int:
         parser.error("provide --theta or a positive --random-regular COUNT")
     if args.command == "ktypes" and args.truncation < 0:
         parser.error(f"--truncation must be at least 0, got {args.truncation}")
+    if args.command == "verify":
+        from . import verify  # imported here: no other subcommand needs the check table
+
+        return 0 if verify.run_suite(quick=args.quick) else 1
     warnings: list[str] = []
     try:
-        if args.command == "roots":
-            rs = build_root_system(args.family, args.rank)
-            meta = {"family": args.family, "rank": args.rank, "count": len(rs.positive_roots)}
-            results = [{"root": [str(c) for c in alpha]} for alpha in rs.positive_roots]
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "rho":
-            rs = build_root_system(args.family, args.rank)
-            _emit(
-                {"family": args.family, "rank": args.rank},
-                [{"rho": [str(c) for c in rho(rs)]}],
-                warnings,
-                args.format,
-            )
-        elif args.command == "char":
-            rs = build_root_system(args.family, args.rank)
-            lam = tuple(_fractions(args.weight))
-            points = _points_from_args(args, rs)
-            results = [
-                {"point": list(pt), "value": _cvalue(weyl_character(rs, lam, pt))} for pt in points
-            ]
-            meta = {"family": args.family, "rank": args.rank, "weight": [str(c) for c in lam], "seed": args.seed}
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "dim":
-            rs = build_root_system(args.family, args.rank)
-            lam = tuple(_fractions(args.weight))
-            meta = {"family": args.family, "rank": args.rank, "weight": [str(c) for c in lam]}
-            _emit(meta, [{"dimension": weyl_dimension(rs, lam)}], warnings, args.format)
-        elif args.command == "theta":
-            meta, results = _theta_like(args, theta_eval)
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "numerator":
-            meta, results = _theta_like(args, theta_numerator_form)
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "theta-closed-u1":
-            rs = build_root_system("A", args.p + args.q)
-            points = _points_from_args(args, rs)
-            results = [
-                {
-                    "point": list(pt),
-                    "value": _cvalue(theta_u1_closed(args.p, args.q, args.lam1, args.m, pt)),
-                }
-                for pt in points
-            ]
-            meta = {"p": args.p, "q": args.q, "lam1": args.lam1, "m": args.m, "seed": args.seed}
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "constant":
-            pair = _pair_from_args(args)
-            nu = _fractions(args.nu)
-            tc = theta_character(pair, nu, m=_embedding_choice(args))
-            if args.lambda_min:
-                lam_min = tuple(_fractions(args.lambda_min))
-            else:
-                lam_min = next(iter(ktype_expansion(tc, depth=4)))
-                warnings.append("lambda-min taken from the expansion's top K-type")
-            C = normalizing_constant(tc, lam_min)
-            meta = {"pair": args.pair, "nu": [str(v) for v in nu], "m_embed": tc.m, "truncation": args.truncation}
-            _emit(meta, [{"lambda_min": [str(c) for c in lam_min], "constant": str(C)}], warnings, args.format)
-        elif args.command == "ktypes":
-            pair = _pair_from_args(args)
-            nu = _fractions(args.nu)
-            tc = theta_character(pair, nu, m=_embedding_choice(args))
-            kt = ktype_expansion(tc, depth=args.truncation)
-            meta = {"pair": args.pair, "nu": [str(v) for v in nu], "m_embed": tc.m, "depth": args.truncation}
-            results = [{"ktype": [str(c) for c in g], "multiplicity": mult} for g, mult in kt.items()]
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "support":
-            pair = _pair_from_args(args)
-            nu = _fractions(args.nu)
-            cd = validate_weight(pair, nu)
-            iv = support_interval(pair, cd)
-            meta = {"pair": args.pair, "nu": [str(v) for v in nu]}
-            results = [
-                {
-                    "lo": iv.lo,
-                    "hi": iv.hi,
-                    "mu_prime": [str(c) for c in cd.mu_prime],
-                    "a": [str(c) for c in iv.a],
-                    "b": [str(c) for c in iv.b],
-                }
-            ]
-            _emit(meta, results, warnings, args.format)
-        elif args.command == "identity":
-            mode = "deterministic-grid" if args.mode == "grid" else "random-rational"
-            verdict = vandermonde_identity_check(args.p, args.q, args.k, mode=mode, seed=args.seed)
-            meta = {"p": args.p, "q": args.q, "k": args.k, "mode": args.mode, "seed": args.seed}
-            _emit(meta, [{"verdict": verdict.status, "detail": verdict.detail}], warnings, args.format)
-        elif args.command == "rdv":
-            rs = build_root_system("A", args.n)
-            lam = _fractions(args.lam)
-            op = orbit_parameter(rs, rs, lam)
-            value = rdv_fourier(rs, rs, op, _floats(args.x))
-            meta = {"n": args.n, "lam": [str(v) for v in lam]}
-            _emit(meta, [{"point": _floats(args.x), "value": _cvalue(value)}], warnings, args.format)
-        elif args.command == "oracle":
-            est = orbit_integral_oracle(
-                args.n, _fractions(args.lam), _floats(args.x), n_samples=args.samples, seed=args.seed, method=args.method
-            )
-            meta = {"n": args.n, "lam": args.lam, "samples": args.samples, "seed": args.seed, "method": est.method}
-            _emit(meta, [{"point": _floats(args.x), "value": _cvalue(est.value), "stderr": est.stderr}], warnings, args.format)
-        elif args.command == "verify":
-            from . import verify  # imported here: no other subcommand needs the check table
-
-            return 0 if verify.run_suite(quick=args.quick) else 1
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-    except argparse.ArgumentTypeError as exc:
+        meta, results = _results(args, warnings)
+    except argparse.ArgumentTypeError as exc:  # oracle --lam
         parser.error(str(exc))
     except HowecharError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -418,6 +369,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"ValueError: {exc}", file=sys.stderr)
         return 1
+    _emit(meta, results, warnings)
     return 0
 
 

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ChamberMismatch, NonConvergentDirection, PoleAtPoint
-from .rootsys import Weight
+from .rootsys import Weight, format_weight
 
 Chamber = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -60,7 +60,7 @@ def _ints(values: Sequence, scale: int = 2) -> tuple[int, ...]:
     out = tuple(scale * Fraction(x) for x in values)
     if any(x.denominator != 1 for x in out):
         need = "exponent denominators must be 1 or 2" if scale == 2 else "a root must be integral"
-        raise ValueError(f"{need}: {tuple(map(Fraction, values))}")
+        raise ValueError(f"{need}: {format_weight(tuple(map(Fraction, values)))}")
     return tuple(x.numerator for x in out)
 
 

@@ -237,10 +237,11 @@ def orbit_integral_oracle(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     xdiag = np.array(x)
-    counts = [min(MC_BATCH, n_samples - i) for i in range(0, n_samples, MC_BATCH)]
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
+    root = np.random.SeedSequence(seed)
     sums = []
-    for count, ss in zip(counts, seeds):
+    for start in range(0, n_samples, MC_BATCH):
+        count = min(MC_BATCH, n_samples - start)
+        (ss,) = root.spawn(1)  # the i-th call spawns the child with spawn key (i,)
         # diag(U diag(lam) U*) = |U|^2 lam; with the last column's weights
         # 1 - sum_{j<n-1} |u_ij|^2 the phase x.|U|^2 lam is
         # lam_last sum(x) + sum_{j<n-1} (lam_j - lam_last) x.|u_.j|^2

@@ -32,7 +32,7 @@ from .howe import (
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
 from .rootsys import Root, RootSystem, Weight, act, format_weight, inverse, perm_sign, rho, sign, weight_dot
-from .torus import SINGULAR_GUARD, guarded_denominator, root_rows
+from .torus import SINGULAR_GUARD, as_point, guarded_denominator, root_rows
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,6 @@ def eta_exponents(tc: ThetaCharacter) -> list[tuple[int, Weight]]:
     return out
 
 
-def _point(tc: ThetaCharacter, theta_prime: Sequence[float]) -> np.ndarray:
-    if len(theta_prime) != tc.pair.rank_gprime:
-        raise ValueError("dimension mismatch")
-    return np.asarray(theta_prime, dtype=float)
-
-
 def _numerator_value(tc: ThetaCharacter, theta: np.ndarray) -> complex:
     """sum_v c_v prod over K' blocks of det(e^{i v_j theta_k}), the block
     determinants being the alternating sums over W(K')."""
@@ -167,7 +161,7 @@ def theta_eval(tc: ThetaCharacter, theta_prime: Sequence[float]) -> complex:
     Values are canonical up to one overall constant per character instance;
     tests and callers compare ratios unless a normalization was computed.
     """
-    theta = _point(tc, theta_prime)
+    theta = as_point(theta_prime, tc.pair.rank_gprime)
     den = guarded_denominator(tc._float_table[2], theta)
     return _numerator_value(tc, theta) / den
 
@@ -177,7 +171,7 @@ def theta_numerator_form(tc: ThetaCharacter, theta_prime: Sequence[float]) -> co
 
     Evaluated off the orbit table, compiled once per instance.
     """
-    return _numerator_value(tc, _point(tc, theta_prime))
+    return _numerator_value(tc, as_point(theta_prime, tc.pair.rank_gprime))
 
 
 def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[float]) -> complex:
@@ -191,12 +185,11 @@ def theta_u1_closed(p: int, q: int, lam1: int, m: int, theta_prime: Sequence[flo
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")
     N = p + q
-    if len(theta_prime) != N:
-        raise ValueError("dimension mismatch")
+    theta = as_point(theta_prime, N).tolist()
     # N/2 - mu'_1 - 1 with mu'_1 = (q-p)/2 + lam1
     expo = p - lam1 - 1
-    h = [cmath.exp(1j * float(t)) for t in theta_prime]
-    prefactor = cmath.exp(0.5j * sum(float(t) for t in theta_prime))
+    h = [cmath.exp(1j * t) for t in theta]
+    prefactor = cmath.exp(0.5j * sum(theta))
     b_range = range(p) if m == 1 else range(p, N)
     total = complex(0.0)
     for b in b_range:

@@ -27,6 +27,15 @@ SAMPLE_MARGIN = 0.05  # smallest |sin(alpha(theta)/2)| at a point random_regular
 SAMPLE_DRAWS = 10000  # draws random_regular makes before it gives up
 
 
+def as_point(theta: Sequence[float], rank: int) -> np.ndarray:
+    """theta as a float array, once it is known to hold rank finite angles."""
+    if len(theta) != rank:
+        raise ValueError("dimension mismatch")
+    if not all(map(math.isfinite, theta)):
+        raise ValueError("angles must be finite")
+    return np.asarray(theta, dtype=float)
+
+
 def pairing(mu: Weight, theta: Sequence[float]) -> float:
     if len(mu) != len(theta):
         raise ValueError(f"dimension mismatch: {len(mu)} vs {len(theta)}")

@@ -25,7 +25,7 @@ from .rootsys import (
     weyl_elements,
     weyl_order,
 )
-from .torus import guarded_denominator, root_rows
+from .torus import as_point, guarded_denominator, root_rows
 
 SCHUR_WEIGHT_CAP = 12  # largest |lam| schur_oracle enumerates
 SCHUR_LENGTH_CAP = 5  # most variables schur_oracle accepts
@@ -81,7 +81,7 @@ def weyl_character(rs: RootSystem, lam: Weight, theta: Sequence[float]) -> compl
     det(h_k^{x_j} - h_k^{-x_j}) for B and C, and for D, whose W flips an even
     number of signs, the mean of that and det(h_k^{x_j} + h_k^{-x_j})."""
     x, roots = _shifted_weight(rs, tuple(map(_ratio, lam)))
-    th = np.asarray(theta, dtype=float)
+    th = as_point(theta, rs.rank)
     den = guarded_denominator(roots, th)
     phase = np.outer(x, th)
     if rs.family == "A":

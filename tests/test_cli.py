@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from howechar.cli import _read_plain, build_parser, main, run
+from howechar.cli import _floats, _fractions, _read_plain, build_parser, main, run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
 
@@ -224,10 +224,19 @@ def _sweep_tokens(rng, action):
         valid, invalid = [str(c) for c in action.choices], ["AB", "", "2", "x"]
     elif action.type is int:
         valid, invalid = ["0", "1", "3", "12", " 4", "-2"], ["x", "1.5", ""]
-    else:
+    elif action.type is _fractions:
+        valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "1,,2", ""], ["1/0", "x", "nan", "1/2/3", "--", "-"]
+    elif action.type is _floats:
+        valid, invalid = ["1.0,-2.5", "0.5", "-1,2", "1,,2", "nan", "inf,1", ""], ["1/0", "1/2", "x", "1,y", "--", "-"]
+    else:  # oracle --lam, which stays text
         valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "x", ""], ["--", "-"]
     value = rng.choice(valid if rng.random() < 0.85 else invalid)
     return [f"{opt}={value}"] if rng.random() < 0.5 else [opt, value]
+
+
+def _same(a: argparse.Namespace, b: argparse.Namespace) -> bool:
+    """Namespace equality by repr, so that a NaN angle equals itself."""
+    return repr(sorted(vars(a).items())) == repr(sorted(vars(b).items()))
 
 
 STRAY_TOKENS = ["-h", "--help", "--", "stray", "--format", "--format=table", "--ra", "--nu-", "-1", "--n=", "-"]
@@ -255,7 +264,7 @@ def test_plain_reader_agrees_with_argparse(capsys):
                 declined += 1
                 continue
             accepted += 1
-            assert ns == parser.parse_args(argv), argv
+            assert _same(ns, parser.parse_args(argv)), argv
     capsys.readouterr()
     assert accepted > 300 and declined > 300, (accepted, declined)
 
@@ -299,7 +308,6 @@ def test_inputs_outside_the_plain_grammar_stay_with_argparse(capsys):
     pinned = [
         (uu + ["--rand", "2", "--seed", "5"], uu + ["--random-regular", "2", "--seed", "5"]),  # an abbreviation
         (uu + ["--random-regular", "1", "--seed", "-3"], uu + ["--random-regular", "1", "--seed=-3"]),  # a negative number
-        (["--format", "table", "roots", "--family", "A", "--rank", "2"], None),  # an option before the subcommand
     ]
     for argv, same_as in pinned:
         assert _read_plain(argv) is None, argv
@@ -307,16 +315,68 @@ def test_inputs_outside_the_plain_grammar_stay_with_argparse(capsys):
         assert (code, err) == (0, ""), argv
         if same_as is not None:
             assert call(capsys, same_as) == (code, out, err), argv
-    assert out.startswith("# family: A\n")  # the last argv asked for a table
-    for argv, status, stream in (
-        (["roots", "--family", "A", "--rank", "2", "-h"], 0, "out"),
-        (["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "2", "--nu", "-1/2", "--theta", "1,2"], 2, "err"),
+    for argv, status, stream, usage in (
+        (["roots", "--family", "A", "--rank", "2", "-h"], 0, "out", "usage: howechar roots"),
+        (["theta", "--pair", "uu", "--n", "1", "--p", "1", "--q", "2", "--nu", "-1/2", "--theta", "1,2"], 2, "err", "usage: howechar theta"),
+        # an option before the subcommand: the top-level parser has none, so
+        # --format is unknown and "table" names no subcommand
+        (["--format", "table", "roots", "--family", "A", "--rank", "2"], 2, "err", "usage: howechar [-h]"),
     ):
         assert _read_plain(argv) is None, argv
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == status, argv
-        assert getattr(capsys.readouterr(), stream).startswith(f"usage: howechar {argv[0]}"), argv
+        assert getattr(capsys.readouterr(), stream).startswith(usage), argv
+
+
+def test_unparsable_values_are_argument_errors_that_name_the_subcommand(capsys):
+    # the grammar converts every value, so a bad one is refused by argparse on
+    # both argv paths: the plain reader declines it, and an argv only argparse
+    # reads (an abbreviated option) meets the same check
+    uu = ["--pair", "uu", "--n", "1", "--p", "1", "--q", "1"]
+    abbreviate = {"--pair": "--pai", "--family": "--fam", "--lam": "--la"}
+    for argv, option in (
+        (["theta", *uu, "--nu=1/0", "--theta=1,2"], "--nu"),
+        (["ktypes", *uu, "--nu", "x"], "--nu"),
+        (["constant", *uu, "--nu", "2", "--lambda-min=nan,0"], "--lambda-min"),
+        (["dim", "--family", "A", "--rank", "2", "--weight", "1,y"], "--weight"),
+        (["char", "--family", "A", "--rank", "2", "--weight", "1,0", "--theta=1/2,1"], "--theta"),
+        (["numerator", *uu, "--nu", "0", "--theta", "x"], "--theta"),
+        (["rdv", "--n", "2", "--lam", "1,0", "--x=1,y"], "--x"),
+        (["rdv", "--n", "2", "--lam", "1/0,0", "--x=1,2"], "--lam"),
+        (["oracle", "--n", "2", "--lam", "1,0", "--x", "x"], "--x"),
+    ):
+        for path in (argv, [abbreviate.get(t, t) for t in argv]):
+            assert _read_plain(path) is None, path
+            with pytest.raises(SystemExit) as exc:
+                run(path)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, path
+            assert err.startswith(f"usage: howechar {argv[0]} "), path
+            assert f"howechar {argv[0]}: error: argument {option}: expected comma-separated" in err, path
+
+
+def test_torus_points_are_checked_once_for_every_point_subcommand(capsys):
+    # a NaN or infinite angle, or the wrong number of them, is one stderr
+    # line and exit 1: no value, no numpy warning, no singular-set message
+    uu = ["--pair", "uu", "--n", "1", "--p", "1", "--q", "1", "--nu", "0"]
+    for command in (
+        ["char", "--family", "A", "--rank", "2", "--weight", "1,0"],
+        ["theta", *uu],
+        ["numerator", *uu],
+        ["theta-closed-u1", "--p", "1", "--q", "1", "--lam1", "0", "--m", "1"],
+    ):
+        for theta, message in (
+            ("nan,1", "angles must be finite"),
+            ("1,inf", "angles must be finite"),
+            ("-inf,1", "angles must be finite"),
+            ("1,2,3", "dimension mismatch"),
+            ("1", "dimension mismatch"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = call(capsys, [*command, f"--theta={theta}"])
+            assert (code, out, err) == (1, "", f"ValueError: {message}\n"), (command[0], theta)
 
 
 def test_uh_ostar_with_m_one_is_a_domain_error(capsys):

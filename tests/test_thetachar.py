@@ -49,7 +49,7 @@ def test_theta_singular_point_rejected():
     tc = theta_character(pair, [0])
     with pytest.raises(SingularPoint):
         theta_eval(tc, (1.0, 1.0))
-    with pytest.raises(SingularPoint):
+    with pytest.raises(ValueError, match="angles must be finite"):  # no point, not a singular one
         theta_eval(tc, (float("nan"), 1.0))
     with pytest.raises(SingularPoint):
         theta_u1_closed(1, 1, 0, 1, (1.0, 1.0))

@@ -51,7 +51,7 @@ def test_weyl_character_rejects_bad_input():
         weyl_character(A2, weight(0, 1), (1.0, 2.0))
     with pytest.raises(SingularPoint):
         weyl_character(A2, weight(1, 0), (1.0, 1.0))
-    with pytest.raises(SingularPoint):  # a NaN angle is no regular point
+    with pytest.raises(ValueError, match="angles must be finite"):  # a NaN angle is no point at all
         weyl_character(A2, weight(1, 0), (1.0, float("nan")))
 
 
