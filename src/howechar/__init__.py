@@ -43,7 +43,6 @@ from .laurent import (
 from .orbits import (
     OracleEstimate,
     OrbitParameter,
-    liouville_normalization,
     orbit_integral_oracle,
     orbit_parameter,
     rdv_fourier,

@@ -7,7 +7,8 @@ Every subcommand prints one JSON document:
 Evaluator subcommands put {"point": [...], "value": {"re": ..., "im": ...}}
 entries in results; structural subcommands put plain JSON payloads there.
 Exit codes: 0 success, 1 domain error (error class name on stderr),
-2 argument errors.
+2 argument errors, 141 (128 + SIGPIPE, as a shell reports a filter that a
+closed pipe stopped) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -52,6 +54,12 @@ def _fractions(text: str) -> list[Fraction]:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
+
+
+def _rational_text(text: str) -> str:
+    """text as given, once _fractions reads it: oracle's meta echoes the text."""
+    _fractions(text)
+    return text
 
 
 def _floats(text: str) -> list[float]:
@@ -168,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="Monte-Carlo / determinant orbit oracles")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", required=True)  # parsed by the handler: meta echoes the text as given
+    sp.add_argument("--lam", type=_rational_text, required=True, help="comma-separated rationals")
     sp.add_argument("--x", type=_floats, required=True)
     sp.add_argument("--samples", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
@@ -361,8 +369,6 @@ def run(argv: list[str]) -> int:
     warnings: list[str] = []
     try:
         meta, results = _results(args, warnings)
-    except argparse.ArgumentTypeError as exc:  # oracle --lam
-        parser.error(str(exc))
     except HowecharError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -374,7 +380,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull so the
+        # flush at exit cannot raise again, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Fourier transforms of coadjoint orbits for compact unitary groups.
 
-The finite Weyl sum
+For U(n) the finite Weyl sum
 
-    F(X) = (-1)^{n(lam)} sum_{w in W(k)/W(k)^lam} e^{i<w lam, X>}
-           / prod_{alpha in P_lam} i <w alpha, X>
+    F(X) = sum_{w in W/W_lam} e^{i<w lam, X>} / prod_{alpha in P_lam} i <w alpha, X>
 
-with P_lam = {alpha : <lam, alpha> > 0} is validated against two
-independent oracles for U(n): a Haar Monte-Carlo average of
-e^{i tr(diag(x) U diag(lam) U*)} and the exact determinant closed form of
-the unitary-group exponential integral.  The average reads U only
-through x.|u_j|^2 for its first n-1 columns u_j, which the sampler draws by
-the subgroup algorithm: each column is uniform on the sphere of the
-complement of the earlier ones, and only diag(x) compressed to that
-complement is carried, with no normals and no Gram-Schmidt (3 exponentials
-and 2 uniforms per U(3) sample).  The Haar average's determinant form has the
-constant prod_{k=1}^{n-1} k!; dividing the normalized Haar average by that
-constant and multiplying by the Liouville prefactor
-prod_{alpha in P_lam} <lam, alpha> reproduces F(X), which is the
-calibration the tests pin at a reference point.
+with P_lam = {alpha : <lam, alpha> > 0} is one confluent determinant
+(Harish-Chandra, Amer. J. Math. 79, 1957; Itzykson and Zuber, J. Math.
+Phys. 21, 1980).  Sort lam decreasing and give the s-th repeat (s = 0, 1,
+...) of a value l the row (i x_k)^s e^{i l x_k} of C; then
+
+    F(X) = (-1)^{sum_b k_b(k_b-1)/2} det C / (i^{n(n-1)/2} V(x)),
+
+with k_b the size of each block of equal entries of lam and
+V(x) = prod_{j<k} (x_j - x_k).  rdv_fourier evaluates it, for itself and
+for the 'hciz' oracle, and raises SingularPoint where the determinant's
+error bound eps cond_2(C) (n + max |lam_j x_k|), relative to the value,
+exceeds COND_GUARD.
+
+The Monte-Carlo oracle is independent of it: a Haar average of
+e^{i tr(diag(x) U diag(lam) U*)}, drawn column by column by the subgroup
+algorithm (_column_forms), times the Liouville volume of the orbit.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonteCarloOnly, SingularPoint
-from .rootsys import Root, RootSystem, Weight, act, build_root_system, weight_dot, weyl_elements
-from .torus import SINGULAR_GUARD
+from .rootsys import Root, RootSystem, Weight, build_root_system, rho, weight_dot
 
 MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
+COND_GUARD = 1e-9  # largest relative error bound eps cond_2(C) (n + max |lam_j x_k|) the determinant form accepts
 
 
 @dataclass(frozen=True)
@@ -67,47 +69,35 @@ def _check_finite(value: complex, what: str) -> complex:
     return value
 
 
-def liouville_normalization(op: OrbitParameter) -> float:
-    """prod over P_lam of <lam, alpha>; strictly positive by construction."""
-    out = Fraction(1)
-    for alpha in op.roots:
-        out *= weight_dot(op.lam, alpha)
-    return _as_floats([out], "the Liouville prefactor of lam")[0]
-
-
-def _coset_representatives(rs_k: RootSystem, lam: Weight):
-    seen = set()
-    for w in weyl_elements(rs_k):
-        image = act(w, lam)
-        if image not in seen:
-            seen.add(image)
-            yield w
-
-
 def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float]) -> complex:
-    """The Weyl-sum expression for the orbit Fourier transform at X; raises
-    SingularPoint when |alpha(X)| < SINGULAR_GUARD for a root of P_lam."""
-    if len(X) != rs_g.rank:
-        raise ValueError("dimension mismatch")
+    """The orbit Fourier transform of U(n) at X by the confluent determinant
+    of the module docstring.  rs_g and rs_k must both be the A system of
+    rank len(X); raises SingularPoint when its error bound exceeds COND_GUARD."""
+    if not rs_g == rs_k == build_root_system("A", len(X)):
+        raise ValueError("rdv_fourier needs rs_g == rs_k, the A system of rank len(X)")
     x = _as_floats(X, "X")
     if any(not math.isfinite(v) for v in x):
         raise ValueError("X must be finite")
-    for alpha in op.roots:
-        if abs(sum(float(c) * v for c, v in zip(alpha, x))) < SINGULAR_GUARD:
-            raise SingularPoint(f"X pairs to ~0 with root {alpha}")
-    lam = _as_floats(op.lam, "lam")
-    total = complex(0.0)
-    for w in _coset_representatives(rs_k, op.lam):
-        phase = sum(c * v for c, v in zip(act(w, lam), x))
-        den = complex(1.0)
-        for alpha in op.roots:
-            walpha = act(w, alpha)
-            den *= 1j * sum(float(c) * v for c, v in zip(walpha, x))
-        _check_finite(phase, "the pairing of lam with X")
-        _check_finite(den, "the product of the root pairings of X")
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
-            total = _check_finite(total + np.exp(1j * phase) / den, "the orbit Fourier transform")
-    return (-1) ** op.n_noncompact * total
+    order = sorted(op.lam, reverse=True)
+    reps = np.array([order[:j].count(v) for j, v in enumerate(order)])  # s of each row
+    n, xa = len(x), np.array(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
+        phases = np.outer(_as_floats(order, "lam"), xa)
+        # (i x)^s e^{i l x} with the i^s factored out of the determinant
+        C = xa ** reps[:, None] * np.exp(1j * phases)
+    if not np.isfinite(C).all():
+        raise ValueError("an entry of the determinant overflows a float")
+    # the LU's roundoff, n eps, and each phase's rounding, eps |l x|, through cond(C)
+    bound = np.finfo(float).eps * np.linalg.cond(C) * (n + np.abs(phases).max())
+    if bound > COND_GUARD:
+        raise SingularPoint(f"the determinant's relative error bound {bound:.1e} exceeds {COND_GUARD:g}")
+    v_x = math.prod(x[j] - x[k] for j in range(n) for k in range(j + 1, n))
+    _check_finite(v_x, "the product of the root pairings of X")
+    # (-1)^S i^S / i^{n(n-1)/2} with S the sum of the row indices s
+    unit = (1, 1j, -1, -1j)[(3 * int(reps.sum()) - n * (n - 1) // 2) % 4]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as a ValueError instead
+        value = complex(unit * np.linalg.det(C) / v_x)
+    return _check_finite(value, "the orbit Fourier transform")
 
 
 def _column_forms(n: int, x: np.ndarray, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -163,43 +153,6 @@ class OracleEstimate:
     method: str
 
 
-def hciz_mean(lam: Sequence[float], X: Sequence[float]) -> complex:
-    """Exact Haar average of e^{i tr(diag(X) U diag(lam) U*)}.
-
-    det(e^{i lam_j x_k}) / [ (i)^{n(n-1)/2} V(x) V(lam) ] times
-    prod_{k=1}^{n-1} k!, with V the decreasing-order Vandermonde
-    prod_{j<k}(v_j - v_k).  Needs distinct lam and distinct x.
-    """
-    lam = [float(v) for v in lam]
-    x = [float(v) for v in X]
-    n = len(lam)
-    if len(x) != n:
-        raise ValueError("dimension mismatch")
-
-    def vandermonde(v):
-        out = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                out *= v[i] - v[j]
-        return out
-
-    v_lam = _check_finite(vandermonde(lam), "the product of the root pairings of lam")
-    v_x = _check_finite(vandermonde(x), "the product of the root pairings of X")
-    if abs(v_lam) < 1e-12:
-        raise MonteCarloOnly("lam has (nearly) repeated entries; determinant form degenerates")
-    if abs(v_x) < 1e-12:
-        raise SingularPoint("X has (nearly) repeated entries")
-    with np.errstate(over="ignore"):  # reported as a ValueError instead
-        phases = np.outer(lam, x)
-    if not np.isfinite(phases).all():
-        raise ValueError("a pairing lam_j x_k overflows a float")
-    M = np.exp(1j * phases)
-    cn = math.prod(math.factorial(k) for k in range(1, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
-        mean = complex(cn * np.linalg.det(M) / ((1j) ** (n * (n - 1) // 2) * v_lam * v_x))
-    return _check_finite(mean, "the determinant ratio of the HCIZ mean")
-
-
 def orbit_integral_oracle(
     n: int,
     lam: Sequence,
@@ -208,12 +161,12 @@ def orbit_integral_oracle(
     seed: int = 0,
     method: str = "mc",
 ) -> OracleEstimate:
-    """Independent estimates of the orbit Fourier transform for U(n).
+    """Independent estimates of the orbit Fourier transform for U(n), the
+    quantity rdv_fourier computes.
 
-    method='mc' averages the exponential trace over Haar unitaries;
-    method='hciz' evaluates the determinant closed form.  Both are scaled
-    by the Liouville prefactor over the superfactorial constant so they
-    target the same quantity as rdv_fourier.
+    method='hciz' is rdv_fourier's determinant; it refuses repeated lam with
+    MonteCarloOnly.  method='mc' averages the exponential trace over Haar
+    unitaries and scales the average by the orbit's Liouville volume.
 
     The trace needs only x.|u_j|^2 for the first n-1 columns, which each
     batch draws with _column_forms; every row of U has unit norm, so the
@@ -228,14 +181,20 @@ def orbit_integral_oracle(
     if not all(map(math.isfinite, x)):
         raise ValueError("X must be finite")
     rs = build_root_system("A", n)
-    op = orbit_parameter(rs, rs, [Fraction(v) for v in lam])
-    scale = liouville_normalization(op) / math.prod(math.factorial(k) for k in range(1, n))
+    op = orbit_parameter(rs, rs, sorted(map(Fraction, lam), reverse=True))
     if method == "hciz":
-        return OracleEstimate(scale * hciz_mean(lam_f, x), None, "hciz")
+        if len(set(op.lam)) < n:
+            raise MonteCarloOnly("lam has repeated entries; the determinant oracle needs distinct ones")
+        return OracleEstimate(rdv_fourier(rs, rs, op, x), None, "hciz")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    # the Liouville volume prod_{alpha in P_lam} <lam, alpha>/<rho, alpha>, exact
+    # until the one rounding; lam is sorted, so every root of P_lam is positive
+    r = rho(rs)
+    volume = math.prod((weight_dot(op.lam, a) / weight_dot(r, a) for a in op.roots), start=Fraction(1))
+    scale = _as_floats([volume], "the Liouville volume of lam")[0]
     xdiag = np.array(x)
     root = np.random.SeedSequence(seed)
     sums = []

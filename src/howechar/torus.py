@@ -22,7 +22,7 @@ from .rootsys import RootSystem, Weight
 
 TorusPoint = tuple[float, ...]
 
-SINGULAR_GUARD = 1e-9  # smallest |sin(alpha(theta)/2)|, or |alpha(X)| on the Lie algebra, an evaluator accepts
+SINGULAR_GUARD = 1e-9  # smallest |sin(alpha(theta)/2)|, or |h_a - h_b| between eigenvalues, a torus evaluator accepts
 SAMPLE_MARGIN = 0.05  # smallest |sin(alpha(theta)/2)| at a point random_regular returns
 SAMPLE_DRAWS = 10000  # draws random_regular makes before it gives up
 

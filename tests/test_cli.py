@@ -4,11 +4,12 @@ import json
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
-from howechar.cli import _floats, _fractions, _read_plain, build_parser, main, run
+from howechar.cli import _floats, _fractions, _rational_text, _read_plain, build_parser, main, run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
 
@@ -156,7 +157,8 @@ def test_char_beyond_the_weyl_group_enumeration_cap(capsys):
 def test_oracle_and_rdv_cli(capsys):
     _, out, _ = call(capsys, ["rdv", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5"])
     ref = json.loads(out)["results"][0]["value"]
-    _, out, _ = call(capsys, ["oracle", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5", "--method", "hciz"])
+    _, out, _ = call(capsys, ["oracle", "--n", "2", "--lam", "1, 0", "--x", "1.0,-0.5", "--method", "hciz"])
+    assert json.loads(out)["meta"]["lam"] == "1, 0"  # echoed as given
     val = json.loads(out)["results"][0]["value"]
     assert abs(val["re"] - ref["re"]) < 1e-9 and abs(val["im"] - ref["im"]) < 1e-9
 
@@ -174,25 +176,67 @@ def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
 
 
 def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
-    # finite points at which one step of rdv or the HCIZ formula overflows: a
-    # root pairing or their product at a huge point, rdv's Weyl sum just off
-    # the walls, the HCIZ constant prod k! at n = 27.  Each must end in one
-    # line naming that step, with no NaN value and no RuntimeWarning
-    near_walls = ",".join(repr(k * 1.0000001e-9) for k in range(9, 0, -1))  # each pairing just above the guard
-    half_steps = ",".join(str(k / 2) for k in range(27))
-    for argv, what in (
-        (["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"], "the product of the root pairings of X"),
-        (["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"], "the product of the root pairings of X"),
-        (["rdv", "--n", "2", "--lam=1e200,0", "--x=1e200,0"], "the pairing of lam with X"),
-        (["oracle", "--n", "2", "--lam=1e200,0", "--x=1e200,0", "--method", "hciz"], "a pairing lam_j x_k"),
-        (["rdv", "--n", "9", "--lam=8,7,6,5,4,3,2,1,0", f"--x={near_walls}"], "the orbit Fourier transform"),
-        (["oracle", "--n", "27", f"--lam={half_steps}", f"--x={half_steps}", "--method", "hciz"], "the determinant ratio of the HCIZ mean"),
+    # finite points at which one step of the determinant form that rdv and the
+    # HCIZ oracle share overflows a float (a phase lam_j x_k, a power x_k^s of
+    # a repeated entry, the product of the root pairings of a point spread
+    # over n = 27 coordinates), or at which its error bound refuses the point
+    # (at a huge x, just off the walls, or on one).  Each must end in one line
+    # naming that step, with no NaN value and no RuntimeWarning
+    near_walls = ",".join(repr(k * 1.0000001e-9) for k in range(9, 0, -1))
+    # lam_j x_k = 10 jk / 43, about 2 pi jk / 27: C is close to a unitary matrix
+    spread = ["--n", "27", "--lam=" + ",".join(f"{k}/43" for k in range(27))]
+    spread.append("--x=" + ",".join(str(10 * k) for k in range(27)))
+    pairings = "ValueError: the product of the root pairings of X overflows a float"
+    entry = "ValueError: an entry of the determinant overflows a float"
+    refused = "SingularPoint: the determinant's relative error bound "
+    for argv, line in (
+        (["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"], refused),
+        (["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"], refused),
+        (["rdv", *spread], pairings),
+        (["oracle", *spread, "--method", "hciz"], pairings),
+        (["rdv", "--n", "2", "--lam=1e200,0", "--x=1e200,0"], entry),
+        (["oracle", "--n", "2", "--lam=1e200,0", "--x=1e200,0", "--method", "hciz"], entry),
+        (["rdv", "--n", "3", "--lam=1,1,1", "--x=1e200,0,1"], entry),
+        (["rdv", "--n", "9", "--lam=8,7,6,5,4,3,2,1,0", f"--x={near_walls}"], refused),
+        (["rdv", "--n", "3", "--lam=1,1,0", "--x=1,1,0.5"], refused),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = call(capsys, argv)
         assert (code, out) == (1, ""), argv
-        assert err == f"ValueError: {what} overflows a float\n", argv
+        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
+    # the HCIZ oracle's constant prod k! passed the float range at n = 27;
+    # the determinant form has no constant and answers there
+    half_steps = ",".join(str(k / 2) for k in range(27))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = call(capsys, ["oracle", "--n", "27", f"--lam={half_steps}", f"--x={half_steps}", "--method", "hciz"])
+    assert (code, err) == (0, "")
+    value = json.loads(out)["results"][0]["value"]
+    assert cmath.isfinite(complex(value["re"], value["im"])) and value != {"re": 0.0, "im": 0.0}
+
+
+def test_rdv_beyond_the_weyl_group_enumeration_cap(capsys):
+    # A12 has 12! Weyl elements; the determinant form never lists them.  x is
+    # spaced about 2 pi / 12 apart, so the matrix is close to a unitary one
+    x = ",".join(repr(round(0.52 * k - 3, 2)) for k in range(12))
+    start = time.perf_counter()
+    code = run(["rdv", "--n", "12", "--lam=6,5,4,3,2,1,0,-1,-2,-3,-4,-5", f"--x={x}"])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert cmath.isfinite(complex(value["re"], value["im"]))
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_process_quietly():
+    # `howechar char ... | head -c 10`: the output is far larger than a pipe
+    # buffer, so the write meets the closed pipe; exit 141, and no traceback
+    argv = CLI + ["char", "--family", "A", "--rank", "3", "--weight", "2,1,0", "--random-regular", "5000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"meta":{"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_only_the_verify_subcommand_imports_the_check_table():
@@ -228,8 +272,10 @@ def _sweep_tokens(rng, action):
         valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "1,,2", ""], ["1/0", "x", "nan", "1/2/3", "--", "-"]
     elif action.type is _floats:
         valid, invalid = ["1.0,-2.5", "0.5", "-1,2", "1,,2", "nan", "inf,1", ""], ["1/0", "1/2", "x", "1,y", "--", "-"]
-    else:  # oracle --lam, which stays text
-        valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "x", ""], ["--", "-"]
+    elif action.type is _rational_text:  # oracle --lam: checked as rationals, kept as text
+        valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "1, 0", ""], ["1/0", "x", "--", "-"]
+    else:
+        raise AssertionError(f"no sweep values for {opt}")
     value = rng.choice(valid if rng.random() < 0.85 else invalid)
     return [f"{opt}={value}"] if rng.random() < 0.5 else [opt, value]
 
@@ -345,6 +391,7 @@ def test_unparsable_values_are_argument_errors_that_name_the_subcommand(capsys):
         (["rdv", "--n", "2", "--lam", "1,0", "--x=1,y"], "--x"),
         (["rdv", "--n", "2", "--lam", "1/0,0", "--x=1,2"], "--lam"),
         (["oracle", "--n", "2", "--lam", "1,0", "--x", "x"], "--x"),
+        (["oracle", "--n", "2", "--lam", "x", "--x", "1,2"], "--lam"),
     ):
         for path in (argv, [abbreviate.get(t, t) for t in argv]):
             assert _read_plain(path) is None, path

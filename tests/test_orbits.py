@@ -1,24 +1,28 @@
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from howechar.errors import MonteCarloOnly, SingularPoint
 from howechar.orbits import (
+    COND_GUARD,
     MC_BATCH,
     _column_forms,
-    hciz_mean,
-    liouville_normalization,
     orbit_integral_oracle,
     orbit_parameter,
     rdv_fourier,
 )
 from howechar.rootsys import RootSystem, act, build_root_system, weight, weyl_elements
+from howechar.verify import orbit_draw, rdv_weyl_sum
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
+A4 = build_root_system("A", 4)
 
 
 def test_rdv_reference_value():
@@ -90,17 +94,6 @@ def test_rdv_alternating_sum_identity():
             for w in weyl_elements(A3)
         )
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-
-def test_liouville_examples():
-    assert liouville_normalization(orbit_parameter(A2, A2, [1, 0])) == 1.0
-    from howechar.rootsys import rho
-
-    assert liouville_normalization(orbit_parameter(A2, A2, rho(A2))) == 1.0
-    op = orbit_parameter(A2, A2, [3, 0])
-    t = 3.0
-    base = orbit_parameter(A2, A2, [1, 0])
-    assert liouville_normalization(op) == t ** len(base.roots) * liouville_normalization(base)
 
 
 def test_rdv_regularity_guard():
@@ -252,7 +245,7 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
         est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc")
         rs = build_root_system("A", n)
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
-        scale = liouville_normalization(orbit_parameter(rs, rs, lam)) / superfactorial
+        scale = math.prod(abs(a - b) for a, b in itertools.combinations(lam, 2)) / superfactorial
         lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
         u = np.concatenate([_householder_unitaries(n, c, np.random.default_rng(ss)) for c, ss in zip(counts, children)])
         vals = np.exp(1j * ((np.abs(u) ** 2) @ lam_v) @ xdiag)
@@ -279,24 +272,49 @@ def test_monte_carlo_matches_hciz_at_every_rank():
 
 
 def test_hciz_matches_rdv():
+    # rdv and the HCIZ oracle share the determinant form, so both are held to
+    # the Weyl sum over W/W_lam, with blocks of 2 and 3 equal entries for rdv
     rng = random.Random(33)
-    for n, rs in ((2, A2), (3, A3)):
+    for n, block in ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3), (5, 3)):
+        rs = build_root_system("A", n)
         for _ in range(20):
-            lam = []
-            while len(set(lam)) != n:
-                lam = [rng.randint(-5, 5) for _ in range(n)]
-            x = [rng.uniform(-3, 3) for _ in range(n)]
-            while min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)) < 0.15:
-                x = [rng.uniform(-3, 3) for _ in range(n)]
+            lam, x = orbit_draw(rng, n, block)
             op = orbit_parameter(rs, rs, lam)
-            a = rdv_fourier(rs, rs, op, x)
-            b = orbit_integral_oracle(n, lam, x, method="hciz").value
-            assert abs(a - b) <= 1e-10 * abs(b)
+            truth = rdv_weyl_sum(rs, op, x)
+            assert abs(rdv_fourier(rs, rs, op, x) - truth) <= 1e-10 * abs(truth), (lam, x)
+            if block == 1:
+                b = orbit_integral_oracle(n, lam, x, method="hciz").value
+                assert abs(b - truth) <= 1e-10 * abs(truth), (lam, x)
 
 
 def test_hciz_rejects_degenerate_lambda():
-    with pytest.raises(MonteCarloOnly):
-        hciz_mean([1.0, 1.0], [0.5, 1.5])
+    for lam in ([1.0, 1.0], [2, 0, 2]):
+        with pytest.raises(MonteCarloOnly):
+            orbit_integral_oracle(len(lam), lam, [0.5, 1.5, -1.0][: len(lam)], method="hciz")
+
+
+def test_rdv_accepts_only_the_unitary_group_of_the_point():
+    k = RootSystem("A", 3, ((1, -1, 0),))
+    op = orbit_parameter(A3, A3, [2, 1, 0])
+    c3 = build_root_system("C", 3)
+    for rs_g, rs_k in ((A3, k), (A2, A2), (c3, c3)):
+        with pytest.raises(ValueError, match="rdv_fourier needs"):
+            rdv_fourier(rs_g, rs_k, op, (0.1, 0.5, 0.9))
+
+
+def test_monte_carlo_matches_rdv_on_repeated_entries():
+    # an entry repeated k times divides the Haar average by sf(k) = prod_{j<k} j!
+    # relative to F; the Liouville volume puts that factor back
+    for lam, x in (
+        ([1, 1, 1], [0.3, 0.5, 0.9]),
+        ([2, 1, 1, 1], [0.3, 0.5, 0.9, -0.4]),
+        ([1, 0, 1, 0, 1], [0.2, -0.7, 1.1, 0.5, -0.1]),
+    ):
+        n = len(lam)
+        rs = build_root_system("A", n)
+        truth = rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
+        est = orbit_integral_oracle(n, lam, x, n_samples=100_000, seed=n, method="mc")
+        assert abs(est.value - truth) <= 4 * est.stderr + 1e-12 * abs(truth), (lam, est, truth)
 
 
 def test_monte_carlo_agrees_within_three_sigma():
@@ -308,11 +326,24 @@ def test_monte_carlo_agrees_within_three_sigma():
 
 
 def test_small_x_limit_matches_liouville_scaling():
-    # as X -> 0 the transform tends to liouville / prod_{k<n} k!
+    # as X -> 0 the transform tends to the Liouville volume of the orbit,
+    # prod_{alpha in P_lam} <lam, alpha> / <rho, alpha> = 2 here
     op = orbit_parameter(A2, A2, [2, 0])
     x = (1e-4, -0.7e-4)
     val = rdv_fourier(A2, A2, op, x)
-    assert abs(val - liouville_normalization(op)) <= 1e-2 * liouville_normalization(op)
+    assert abs(val - 2.0) <= 1e-2 * 2.0
+
+
+def test_monte_carlo_scale_is_exact_past_the_float_range():
+    # at n = 30, prod <rho, alpha> = prod_{k<30} k! ~ 1e383 passes the float
+    # range, and so does prod <lam, alpha> for lam = (0, 1, ..., 29); the
+    # scale, their ratio, is 1 there and 2^-435 for lam / 2.  The oracle once
+    # refused the first with a ValueError and raised OverflowError on the
+    # second.  At X = 0 every sample is 1, so the estimate is the scale itself
+    for step in (1, 2):
+        lam = [Fraction(k, step) for k in range(30)]
+        est = orbit_integral_oracle(30, lam, [0.0] * 30, n_samples=8, method="mc")
+        assert est.value == 2.0 ** (-435 * (step - 1)), step
 
 
 def test_monte_carlo_rejects_non_positive_sample_counts():
@@ -328,3 +359,68 @@ def test_oracle_rejects_non_finite_input():
                 orbit_integral_oracle(2, [1, 0], [bad, 0.5], n_samples=10, method=method)
             with pytest.raises(ValueError, match="lam must be finite"):
                 orbit_integral_oracle(2, [bad, 0], [1.0, 0.5], n_samples=10, method=method)
+
+
+def _mp_weyl_sum(lam, x):
+    """The Weyl sum over W/W_lam in mpmath: over the distinct orderings of
+    lam, e^{i<lam', x>} over prod of i(x_j - x_k) for lam'_j > lam'_k.  It
+    carries enough digits for the cancellation, which loses about
+    N log10(1 / min |x_j - x_k|) of them."""
+    n = len(lam)
+    gap = min(abs(x[j] - x[k]) for j in range(n) for k in range(j + 1, n))
+    with mpmath.workdps(30 + math.ceil(n * (n - 1) / 2 * max(0.0, -math.log10(gap)))):
+        xs = [mpmath.mpf(v) for v in x]  # the floats, exactly
+        total = mpmath.mpc(0)
+        for image in set(itertools.permutations(lam)):
+            den = mpmath.mpc(1)
+            for j in range(n):
+                for k in range(n):
+                    if image[j] > image[k]:
+                        den *= 1j * (xs[j] - xs[k])
+            total += mpmath.expj(mpmath.fsum(l * v for l, v in zip(image, xs))) / den
+        return complex(total)
+
+
+def test_rdv_matches_mpmath_where_the_weyl_sum_lost_digits():
+    # the float Weyl sum was off by 3.3e-9 here
+    lam, x = (4, 3, -2, -3), (-0.0262, -0.0129, 0.0212, 0.0294)
+    truth = _mp_weyl_sum(lam, x)
+    assert abs(rdv_fourier(A4, A4, orbit_parameter(A4, A4, lam), x) - truth) <= 1e-10 * abs(truth)
+
+
+def test_rdv_refuses_a_point_beyond_its_error_bound():
+    # the float Weyl sum printed a value 93 % wrong at the first point; at the
+    # second, the rounding of the phase 6 x_1 alone costs 1e-7 of the value
+    for lam, x in (
+        ((6, 3, 0, -1, -6), (-0.022, -0.0101, -0.0074, 0.0054, 0.008)),
+        ((6, -6), (1e8 + 0.3, 0.1)),
+    ):
+        rs = build_root_system("A", len(lam))
+        with pytest.raises(SingularPoint, match="error bound"):
+            rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
+
+
+def test_every_answer_is_within_the_guard_of_mpmath():
+    # a fixed sweep of x scaled from 1e6 down to 1e-6, with lam distinct or
+    # with a block of 2 or 3: rdv and the HCIZ oracle answer within
+    # COND_GUARD of the Weyl sum in mpmath, or raise SingularPoint
+    rng = random.Random(20261020)
+    answered = refused = 0
+    for n, block in ((2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 3), (5, 2), (6, 3)):
+        rs = build_root_system("A", n)
+        lam, x = orbit_draw(rng, n, block)
+        for scale in (1e6, 1e3, 1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-6):
+            xs = [scale * v for v in x]
+            truth = _mp_weyl_sum(lam, xs)
+            evaluators = [lambda: rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), xs)]
+            if block == 1:
+                evaluators.append(lambda: orbit_integral_oracle(n, lam, xs, method="hciz").value)
+            for evaluate in evaluators:
+                try:
+                    value = evaluate()
+                except SingularPoint:
+                    refused += 1
+                    continue
+                answered += 1
+                assert abs(value - truth) <= COND_GUARD * abs(truth), (lam, xs, value, truth)
+    assert answered >= 40 and refused >= 10, (answered, refused)
