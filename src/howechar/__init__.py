@@ -42,9 +42,7 @@ from .laurent import (
 )
 from .orbits import (
     OracleEstimate,
-    OrbitParameter,
     orbit_integral_oracle,
-    orbit_parameter,
     rdv_fourier,
 )
 from .rootsys import (

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import HowecharError
 from .howe import DualPairSpec, PairKind, dual_pair, support_interval, validate_weight
-from .orbits import orbit_integral_oracle, orbit_parameter, rdv_fourier
+from .orbits import orbit_integral_oracle, rdv_fourier
 from .rootsys import build_root_system, rho
 from .thetachar import (
     ThetaCharacter,
@@ -335,8 +335,9 @@ def _results(args, warnings: list[str]) -> tuple[dict, list]:
         meta = {"p": args.p, "q": args.q, "k": args.k, "mode": args.mode, "seed": args.seed}
         return meta, [{"verdict": verdict.status, "detail": verdict.detail}]
     if cmd == "rdv":
-        rs = build_root_system("A", args.n)
-        value = rdv_fourier(rs, rs, orbit_parameter(rs, rs, args.lam), args.x)
+        if len(args.lam) != args.n:
+            raise ValueError("dimension mismatch")
+        value = rdv_fourier(args.lam, args.x)
         return {"n": args.n, "lam": _strs(args.lam)}, [{"point": args.x, "value": _cvalue(value)}]
     # oracle
     est = orbit_integral_oracle(

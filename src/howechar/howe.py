@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, FormulaInconsistency, NotInCorrespondence
@@ -44,31 +43,13 @@ class PairKind(Enum):
     UH_OSTAR = "uh-ostar"
 
 
-# family of g'; the compact roots of g' are A-type blocks
+# family of g'; its compact roots are the e_i - e_j inside one K' block
 _GPRIME_FAMILY = {
     PairKind.UU: "A",
     PairKind.OEVEN_SP: "C",
     PairKind.OODD_SP: "C",
     PairKind.UH_OSTAR: "D",
 }
-
-
-def _block_compact_roots(rank: int, blocks: Sequence[tuple[int, int]]) -> tuple[Root, ...]:
-    """Positive roots e_i - e_j with i < j inside each [start, stop) block."""
-    out = []
-    for start, stop in blocks:
-        for i in range(start, stop):
-            for j in range(i + 1, stop):
-                v = [0] * rank
-                v[i], v[j] = 1, -1
-                out.append(tuple(v))
-    return tuple(sorted(out))
-
-
-@cache
-def _gprime_root_system(family: str, rank: int, blocks: tuple[tuple[int, int], ...]) -> RootSystem:
-    """The root system of g' with the K' blocks' roots marked compact, built once."""
-    return build_root_system(family, rank).with_compact_roots(_block_compact_roots(rank, blocks))
 
 
 @dataclass(frozen=True)
@@ -85,7 +66,7 @@ class DualPairSpec:
 
     @property
     def rs_gprime(self) -> RootSystem:
-        return _gprime_root_system(_GPRIME_FAMILY[self.kind], self.rank_gprime, self.kprime_blocks)
+        return build_root_system(_GPRIME_FAMILY[self.kind], self.rank_gprime)
 
     @property
     def kprime_blocks(self) -> tuple[tuple[int, int], ...]:

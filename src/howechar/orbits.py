@@ -12,10 +12,12 @@ Phys. 21, 1980).  Sort lam decreasing and give the s-th repeat (s = 0, 1,
     F(X) = (-1)^{sum_b k_b(k_b-1)/2} det C / (i^{n(n-1)/2} V(x)),
 
 with k_b the size of each block of equal entries of lam and
-V(x) = prod_{j<k} (x_j - x_k).  rdv_fourier evaluates it, for itself and
-for the 'hciz' oracle, and raises SingularPoint where the determinant's
-error bound eps cond_2(C) (n + max |lam_j x_k|), relative to the value,
-exceeds COND_GUARD.
+V(x) = prod_{j<k} (x_j - x_k).  rdv_fourier(lam, X) evaluates it, for
+itself and for the 'hciz' oracle; it reads nothing but lam and X, since
+P_lam and W/W_lam follow from the order of lam.  It raises SingularPoint
+where the determinant's error bound eps cond_2(D C) (n + max |lam_j x_k|),
+relative to the value, exceeds COND_GUARD; D scales every row of C to unit
+norm, which leaves the relative error of det C unchanged.
 
 The Monte-Carlo oracle is independent of it: a Haar average of
 e^{i tr(diag(x) U diag(lam) U*)}, drawn column by column by the subgroup
@@ -25,6 +27,7 @@ algorithm (_column_forms), times the Liouville volume of the orbit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,27 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonteCarloOnly, SingularPoint
-from .rootsys import Root, RootSystem, Weight, build_root_system, rho, weight_dot
 
 MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
-COND_GUARD = 1e-9  # largest relative error bound eps cond_2(C) (n + max |lam_j x_k|) the determinant form accepts
-
-
-@dataclass(frozen=True)
-class OrbitParameter:
-    lam: Weight
-    roots: tuple[Root, ...]  # P_lam, the roots paired positively with lam
-    n_noncompact: int
-
-
-def orbit_parameter(rs_g: RootSystem, rs_k: RootSystem, lam: Sequence) -> OrbitParameter:
-    lam = tuple(Fraction(v) for v in lam)
-    if len(lam) != rs_g.rank:
-        raise ValueError("dimension mismatch")
-    compact = set(rs_k.positive_roots) | {tuple(-c for c in a) for a in rs_k.positive_roots}
-    p_lam = tuple(a for a in rs_g.all_roots if weight_dot(lam, a) > 0)
-    n_nc = sum(1 for a in p_lam if a not in compact)
-    return OrbitParameter(lam, p_lam, n_nc)
+COND_GUARD = 1e-9  # largest relative error bound eps cond_2(D C) (n + max |lam_j x_k|) the determinant form accepts
 
 
 def _as_floats(values: Sequence, name: str) -> list[float]:
@@ -69,16 +54,19 @@ def _check_finite(value: complex, what: str) -> complex:
     return value
 
 
-def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Sequence[float]) -> complex:
-    """The orbit Fourier transform of U(n) at X by the confluent determinant
-    of the module docstring.  rs_g and rs_k must both be the A system of
-    rank len(X); raises SingularPoint when its error bound exceeds COND_GUARD."""
-    if not rs_g == rs_k == build_root_system("A", len(X)):
-        raise ValueError("rdv_fourier needs rs_g == rs_k, the A system of rank len(X)")
+def rdv_fourier(lam: Sequence, X: Sequence[float]) -> complex:
+    """The orbit Fourier transform of U(n) at X, n = len(lam) = len(X), by
+    the confluent determinant of the module docstring; lam may hold ints,
+    Fractions or their strings, in any order.  Raises SingularPoint when the
+    determinant's error bound exceeds COND_GUARD."""
+    order = sorted(map(Fraction, lam), reverse=True)
+    if len(order) != len(X):
+        raise ValueError("dimension mismatch")
+    if not order:
+        raise ValueError("rank must be >= 1")
     x = _as_floats(X, "X")
     if any(not math.isfinite(v) for v in x):
         raise ValueError("X must be finite")
-    order = sorted(op.lam, reverse=True)
     reps = np.array([order[:j].count(v) for j, v in enumerate(order)])  # s of each row
     n, xa = len(x), np.array(x)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a ValueError instead
@@ -87,8 +75,10 @@ def rdv_fourier(rs_g: RootSystem, rs_k: RootSystem, op: OrbitParameter, X: Seque
         C = xa ** reps[:, None] * np.exp(1j * phases)
     if not np.isfinite(C).all():
         raise ValueError("an entry of the determinant overflows a float")
-    # the LU's roundoff, n eps, and each phase's rounding, eps |l x|, through cond(C)
-    bound = np.finfo(float).eps * np.linalg.cond(C) * (n + np.abs(phases).max())
+    # the LU's roundoff, n eps, and each phase's rounding, eps |l x|, through
+    # cond_2(D C); a zero row keeps its zeros, so cond stays infinite there
+    norms = np.linalg.norm(C, axis=1, keepdims=True)
+    bound = np.finfo(float).eps * np.linalg.cond(C / np.where(norms > 0, norms, 1.0)) * (n + np.abs(phases).max())
     if bound > COND_GUARD:
         raise SingularPoint(f"the determinant's relative error bound {bound:.1e} exceeds {COND_GUARD:g}")
     v_x = math.prod(x[j] - x[k] for j in range(n) for k in range(j + 1, n))
@@ -180,20 +170,22 @@ def orbit_integral_oracle(
         raise ValueError("lam must be finite")
     if not all(map(math.isfinite, x)):
         raise ValueError("X must be finite")
-    rs = build_root_system("A", n)
-    op = orbit_parameter(rs, rs, sorted(map(Fraction, lam), reverse=True))
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    order = sorted(map(Fraction, lam), reverse=True)
     if method == "hciz":
-        if len(set(op.lam)) < n:
+        if len(set(order)) < n:
             raise MonteCarloOnly("lam has repeated entries; the determinant oracle needs distinct ones")
-        return OracleEstimate(rdv_fourier(rs, rs, op, x), None, "hciz")
+        return OracleEstimate(rdv_fourier(order, x), None, "hciz")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     # the Liouville volume prod_{alpha in P_lam} <lam, alpha>/<rho, alpha>, exact
-    # until the one rounding; lam is sorted, so every root of P_lam is positive
-    r = rho(rs)
-    volume = math.prod((weight_dot(op.lam, a) / weight_dot(r, a) for a in op.roots), start=Fraction(1))
+    # until the one rounding; lam is sorted, so P_lam is the e_j - e_k with
+    # j < k and lam_j != lam_k, and <rho, e_j - e_k> = k - j
+    pairs = itertools.combinations(enumerate(order), 2)
+    volume = math.prod((Fraction(lj - lk, k - j) for (j, lj), (k, lk) in pairs if lj != lk), start=Fraction(1))
     scale = _as_floats([volume], "the Liouville volume of lam")[0]
     xdiag = np.array(x)
     root = np.random.SeedSequence(seed)

@@ -17,8 +17,9 @@ every Weyl group the library enumerates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded
@@ -60,14 +61,6 @@ class RootSystem:
     family: str  # 'A', 'B', 'C' or 'D'
     rank: int  # number of coordinates
     positive_roots: tuple[Root, ...]
-    compact_positive_roots: tuple[Root, ...] = field(default=())
-
-    def with_compact_roots(self, compact: Sequence[Sequence]) -> "RootSystem":
-        own = {alpha: alpha for alpha in self.positive_roots}  # kept as the system's int tuples
-        for alpha in compact:
-            if tuple(alpha) not in own:
-                raise ValueError(f"{alpha} is not a positive root of this system")
-        return RootSystem(self.family, self.rank, self.positive_roots, tuple(own[tuple(a)] for a in compact))
 
     @property
     def all_roots(self) -> tuple[Root, ...]:
@@ -140,8 +133,10 @@ def sign(w: WeylElement) -> int:
     return sgn
 
 
+@cache
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Positive roots in a fixed lexicographic coordinate order."""
+    """Positive roots in a fixed lexicographic coordinate order.  Built once
+    per (family, rank): every caller shares the returned instance."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if family == "D" and rank < 2:

@@ -31,7 +31,7 @@ from .howe import (
     z_weyl,
 )
 from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import Root, RootSystem, Weight, act, format_weight, inverse, perm_sign, rho, sign, weight_dot
+from .rootsys import Root, Weight, act, format_weight, inverse, perm_sign, sign, weight_dot
 from .torus import SINGULAR_GUARD, as_point, guarded_denominator, root_rows
 
 
@@ -310,14 +310,17 @@ def vandermonde_identity_check(p: int, q: int, k: int, mode: str = "deterministi
 
 
 def noncompact_positive_roots(pair: DualPairSpec) -> tuple[Root, ...]:
-    rs = pair.rs_gprime
-    compact = set(rs.compact_positive_roots)
-    return tuple(a for a in rs.positive_roots if a not in compact)
+    """The positive roots of g' outside K', in the order of rs_gprime.  The
+    K' blocks tile the coordinates and the compact roots are the e_i - e_j
+    inside one block: the only roots whose sum over every block is 0."""
+    blocks = pair.kprime_blocks
+    return tuple(a for a in pair.rs_gprime.positive_roots if any(sum(a[start:stop]) for start, stop in blocks))
 
 
 def compact_rho(pair: DualPairSpec) -> Weight:
-    rs = pair.rs_gprime
-    return rho(RootSystem("A", rs.rank, rs.compact_positive_roots))
+    """Half the sum of the compact positive roots: (k-1)/2, (k-3)/2, ...,
+    (1-k)/2 on each K' block of size k."""
+    return tuple(Fraction(start + stop - 1 - 2 * i, 2) for start, stop in pair.kprime_blocks for i in range(start, stop))
 
 
 @cache

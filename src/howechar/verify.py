@@ -35,8 +35,8 @@ from .howe import (
     z_subsystem,
     z_weyl,
 )
-from .orbits import OrbitParameter, orbit_integral_oracle, orbit_parameter, rdv_fourier
-from .rootsys import RootSystem, act, build_root_system, compose, rho, sign, weight, weyl_elements
+from .orbits import orbit_integral_oracle, rdv_fourier
+from .rootsys import act, build_root_system, compose, rho, sign, weight, weight_dot, weyl_elements
 from .thetachar import (
     ThetaCharacter,
     eta_exponents,
@@ -274,20 +274,24 @@ def support_tables(quick: bool) -> str:
     return "support intervals match the rank-one case table (p,q <= 4) and 20 hand-checked Sp instances"
 
 
-def rdv_weyl_sum(rs_k: RootSystem, op: OrbitParameter, X) -> complex:
-    """The orbit Fourier transform as the paper writes it, the sum over
-    W(k)/W(k)^lam of e^{i<w lam, X>} / prod_{alpha in P_lam} i<w alpha, X>,
-    walking every Weyl element: the reference of criterion 9.  It guards
-    nothing, so callers pass points well away from the walls."""
+def rdv_weyl_sum(lam, X) -> complex:
+    """The orbit Fourier transform of U(n) as the paper writes it, the sum
+    over W/W^lam of e^{i<w lam, X>} / prod_{alpha in P_lam} i<w alpha, X>,
+    with P_lam = {alpha : <lam, alpha> > 0}, walking every Weyl element: the
+    reference of criterion 9.  It guards nothing, so callers pass points
+    well away from the walls."""
+    lam = weight(*lam)
+    rs = build_root_system("A", len(lam))
+    p_lam = [alpha for alpha in rs.all_roots if weight_dot(lam, alpha) > 0]
     x = [float(v) for v in X]
     seen, total = set(), complex(0.0)
-    for w in weyl_elements(rs_k):
-        image = act(w, op.lam)
+    for w in weyl_elements(rs):
+        image = act(w, lam)
         if image not in seen:
             seen.add(image)
-            den = math.prod(1j * sum(c * v for c, v in zip(act(w, alpha), x)) for alpha in op.roots)
+            den = math.prod(1j * sum(c * v for c, v in zip(act(w, alpha), x)) for alpha in p_lam)
             total += cmath.exp(1j * sum(float(c) * v for c, v in zip(image, x))) / den
-    return (-1) ** op.n_noncompact * total
+    return total
 
 
 def orbit_draw(rng: random.Random, n: int, block: int = 1) -> tuple[list[int], list[float]]:
@@ -307,20 +311,17 @@ def rdv_oracles(quick: bool) -> str:
     draws, samples, mc_cases = (10, 10**5, 1) if quick else (20, 10**6, 2)
     cases = ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3))  # (n, size of the block of equal entries)
     for n, block in cases:
-        rs = build_root_system("A", n)
         for _ in range(draws):
             lam, x = orbit_draw(rng, n, block)
-            op = orbit_parameter(rs, rs, lam)
-            truth = rdv_weyl_sum(rs, op, x)
-            _require(abs(rdv_fourier(rs, rs, op, x) - truth) <= 1e-10 * abs(truth), n, lam, x)
+            truth = rdv_weyl_sum(lam, x)
+            _require(abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), n, lam, x)
             if block == 1:
                 hciz = orbit_integral_oracle(n, lam, x, method="hciz").value
                 _require(abs(hciz - truth) <= 1e-10 * abs(truth), n, lam, x)
     zs = []
     for n, lam, x in ((2, [1, 0], [1.0, -0.5]), (3, [2, 1, -1], [1.2, 0.3, -0.9]))[:mc_cases]:
-        rs = build_root_system("A", n)
         est = orbit_integral_oracle(n, lam, x, n_samples=samples, seed=1109, method="mc")
-        truth = rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
+        truth = rdv_fourier(lam, x)
         z = abs(est.value - truth) / est.stderr
         _require(z <= 3.0, n, lam, x, z)
         zs.append(z)

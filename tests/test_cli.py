@@ -180,8 +180,9 @@ def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
     # HCIZ oracle share overflows a float (a phase lam_j x_k, a power x_k^s of
     # a repeated entry, the product of the root pairings of a point spread
     # over n = 27 coordinates), or at which its error bound refuses the point
-    # (at a huge x, just off the walls, or on one).  Each must end in one line
-    # naming that step, with no NaN value and no RuntimeWarning
+    # (at a huge x, just off the walls, or on one), or whose x has fewer
+    # coordinates than lam.  Each must end in one line naming that step, with
+    # no NaN value and no RuntimeWarning
     near_walls = ",".join(repr(k * 1.0000001e-9) for k in range(9, 0, -1))
     # lam_j x_k = 10 jk / 43, about 2 pi jk / 27: C is close to a unitary matrix
     spread = ["--n", "27", "--lam=" + ",".join(f"{k}/43" for k in range(27))]
@@ -199,6 +200,9 @@ def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
         (["rdv", "--n", "3", "--lam=1,1,1", "--x=1e200,0,1"], entry),
         (["rdv", "--n", "9", "--lam=8,7,6,5,4,3,2,1,0", f"--x={near_walls}"], refused),
         (["rdv", "--n", "3", "--lam=1,1,0", "--x=1,1,0.5"], refused),
+        (["rdv", "--n", "2", "--lam=1,1", "--x=0,0"], refused),
+        (["rdv", "--n", "3", "--lam=1,0,0", "--x=1,2"], "ValueError: dimension mismatch\n"),
+        (["oracle", "--n", "3", "--lam=1,0,0", "--x=1,2", "--method", "hciz"], "ValueError: dimension mismatch\n"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -19,18 +19,59 @@ from howechar.howe import (
     z_subsystem,
     z_weyl,
 )
-from howechar.rootsys import WeylElement, weight
+from howechar.rootsys import RootSystem, WeylElement, rho, weight
+from howechar.thetachar import compact_rho, noncompact_positive_roots
 
 F = Fraction
+
+
+def _marked_compact_roots(pair):
+    # the compact positive roots, built root by root: e_i - e_j with i < j
+    # inside one K' block, sorted
+    rank = pair.rank_gprime
+    out = []
+    for start, stop in pair.kprime_blocks:
+        for i in range(start, stop):
+            for j in range(i + 1, stop):
+                v = [0] * rank
+                v[i], v[j] = 1, -1
+                out.append(tuple(v))
+    return tuple(sorted(out))
+
+
+def _small_pairs():
+    for n in (1, 2, 3):
+        for p, q in itertools.product((1, 2, 3), repeat=2):
+            if n <= p + q:
+                yield dual_pair("uu", n, p=p, q=q)
+        for kind in ("oeven-sp", "oodd-sp", "uh-ostar"):
+            for m in range(max(n, 2 if kind == "uh-ostar" else 1), 5):
+                yield dual_pair(kind, n, m=m)
+
+
+def test_compact_data_matches_the_marked_roots():
+    # noncompact_positive_roots and compact_rho read the K' blocks alone;
+    # they must agree with the compact roots marked one by one
+    checked = 0
+    for pair in _small_pairs():
+        compact = _marked_compact_roots(pair)
+        positive = pair.rs_gprime.positive_roots
+        assert set(compact) <= set(positive), pair
+        assert noncompact_positive_roots(pair) == tuple(a for a in positive if a not in compact), pair
+        assert compact_rho(pair) == rho(RootSystem("A", pair.rank_gprime, compact)), pair
+        checked += 1
+    assert checked == 52
 
 
 def test_pair_root_data():
     uu = dual_pair("uu", 2, p=2, q=1)
     assert uu.rs_gprime.family == "A"
-    assert len(uu.rs_gprime.compact_positive_roots) == 1  # e1 - e2 inside U(2) x U(1)
+    assert len(_marked_compact_roots(uu)) == 1  # e1 - e2 inside U(2) x U(1)
+    assert len(noncompact_positive_roots(uu)) == 2
     oe = dual_pair("oeven-sp", 2, m=3)
     assert oe.rs_gprime.family == "C"
-    assert len(oe.rs_gprime.compact_positive_roots) == 3
+    assert len(_marked_compact_roots(oe)) == 3
+    assert len(noncompact_positive_roots(oe)) == 9 - 3
     oo = dual_pair("oodd-sp", 1, m=2)
     assert oo.rs_gprime.family == "C"
     uh = dual_pair("uh-ostar", 2, m=3)

@@ -14,92 +14,73 @@ from howechar.orbits import (
     MC_BATCH,
     _column_forms,
     orbit_integral_oracle,
-    orbit_parameter,
     rdv_fourier,
 )
-from howechar.rootsys import RootSystem, act, build_root_system, weight, weyl_elements
+from howechar.rootsys import act, build_root_system, sign, weight, weight_dot, weyl_elements
 from howechar.verify import orbit_draw, rdv_weyl_sum
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
-A4 = build_root_system("A", 4)
 
 
 def test_rdv_reference_value():
-    op = orbit_parameter(A2, A2, [1, 0])
-    val = rdv_fourier(A2, A2, op, (math.pi, 0.0))
+    val = rdv_fourier([1, 0], (math.pi, 0.0))
     # two-term sum [e^{i pi} - 1]/(i pi) = 2i/pi, frozen by hand
     assert abs(val - 2j / math.pi) < 1e-12
-
-
-def test_orbit_parameter_accepts_equal_fraction_roots():
-    # U(2) x U(1) in U(3) with every root given as Fractions: the same P_lam
-    # and the same noncompact count as with the int roots
-    k_int = RootSystem("A", 3, ((1, -1, 0),))
-    k_frac = RootSystem("A", 3, (weight(1, -1, 0),))
-    g_frac = RootSystem("A", 3, tuple(weight(*a) for a in A3.positive_roots))
-    lam = [2, 1, -1]
-    expect = orbit_parameter(A3, k_int, lam)
-    assert expect.n_noncompact == 2
-    for rs_g, rs_k in ((A3, k_frac), (g_frac, k_int), (g_frac, k_frac)):
-        assert orbit_parameter(rs_g, rs_k, lam) == expect
+    # lam as Fractions, as their strings or in another order is the same lam
+    for lam in (weight(1, 0), ["1", "0"], ("2/2", Fraction(0, 3)), [0, 1]):
+        assert rdv_fourier(lam, (math.pi, 0.0)) == val, lam
 
 
 def test_rdv_singular_orbit_parameter():
-    op = orbit_parameter(A2, A2, [1, 1])
-    assert op.roots == ()
+    # lam = (1, 1) pairs positively with no root: F is the one exponential
     x = (1.0, 2.0)
-    assert abs(rdv_fourier(A2, A2, op, x) - cmath.exp(3j)) < 1e-12
+    assert abs(rdv_fourier([1, 1], x) - cmath.exp(3j)) < 1e-12
 
 
 def test_rdv_weyl_invariance_in_lambda_and_x():
     rng = random.Random(31)
-    op = orbit_parameter(A2, A2, [2, -1])
+    lam = weight(2, -1)
     elems = list(weyl_elements(A2))
     for _ in range(20):
         x = (rng.uniform(0.3, 3.0), rng.uniform(-3.0, -0.3))
         w = rng.choice(elems)
-        a = rdv_fourier(A2, A2, op, x)
-        op_w = orbit_parameter(A2, A2, act(w, op.lam))
-        assert abs(rdv_fourier(A2, A2, op_w, x) - a) < 1e-12 * max(1.0, abs(a))
-        assert abs(rdv_fourier(A2, A2, op, act(w, x)) - a) < 1e-10 * max(1.0, abs(a))
+        a = rdv_fourier(lam, x)
+        assert abs(rdv_fourier(act(w, lam), x) - a) < 1e-12 * max(1.0, abs(a))
+        assert abs(rdv_fourier(lam, act(w, x)) - a) < 1e-10 * max(1.0, abs(a))
 
 
 def test_rdv_homogeneity():
-    op = orbit_parameter(A2, A2, [1, 0])
+    # F_{t lam}(X) = F_lam(t X) t^{|P_lam|}, and P_lam = {e_1 - e_2} here
     x = (1.3, -0.4)
     t = 2.5
-    a = rdv_fourier(A2, A2, op, tuple(t * v for v in x))
-    op_t = orbit_parameter(A2, A2, [t, 0])
-    b = rdv_fourier(A2, A2, op_t, x)
-    assert abs(a - b * t ** (-len(op.roots))) < 1e-12
+    a = rdv_fourier([1, 0], tuple(t * v for v in x))
+    b = rdv_fourier([t, 0], x)
+    assert abs(a - b / t) < 1e-12
 
 
 def test_rdv_alternating_sum_identity():
     # prod_{alpha in P_lam} i<alpha, X> * F(X) equals the signed exponential sum
     rng = random.Random(32)
-    lam = (3, 1, 0)
-    op = orbit_parameter(A3, A3, lam)
+    lam = weight(3, 1, 0)
+    p_lam = [alpha for alpha in A3.all_roots if weight_dot(lam, alpha) > 0]
     for _ in range(10):
         x = tuple(rng.uniform(-2, 2) for _ in range(3))
         if min(abs(x[i] - x[j]) for i in range(3) for j in range(i + 1, 3)) < 0.2:
             continue
-        lhs = rdv_fourier(A3, A3, op, x)
-        for alpha in op.roots:
+        lhs = rdv_fourier(lam, x)
+        for alpha in p_lam:
             lhs *= 1j * sum(float(c) * v for c, v in zip(alpha, x))
-        from howechar.rootsys import sign
-
         rhs = sum(
-            sign(w) * cmath.exp(1j * sum(float(c) * v for c, v in zip(act(w, op.lam), x)))
+            sign(w) * cmath.exp(1j * sum(float(c) * v for c, v in zip(act(w, lam), x)))
             for w in weyl_elements(A3)
         )
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 def test_rdv_regularity_guard():
-    op = orbit_parameter(A2, A2, [1, 0])
     with pytest.raises(SingularPoint):
-        rdv_fourier(A2, A2, op, (1.0, 1.0))
+        rdv_fourier([1, 0], (1.0, 1.0))
 
 
 def _householder_unitaries(n, count, rng):
@@ -243,7 +224,6 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
     for n in (1, 2, 3, 5):
         lam, x = [2, -1, 0, 3, 1][:n][::-1], [1.0, -0.5, 0.7, -1.3, 0.2][:n]
         est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc")
-        rs = build_root_system("A", n)
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
         scale = math.prod(abs(a - b) for a, b in itertools.combinations(lam, 2)) / superfactorial
         lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
@@ -276,12 +256,10 @@ def test_hciz_matches_rdv():
     # the Weyl sum over W/W_lam, with blocks of 2 and 3 equal entries for rdv
     rng = random.Random(33)
     for n, block in ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3), (5, 3)):
-        rs = build_root_system("A", n)
         for _ in range(20):
             lam, x = orbit_draw(rng, n, block)
-            op = orbit_parameter(rs, rs, lam)
-            truth = rdv_weyl_sum(rs, op, x)
-            assert abs(rdv_fourier(rs, rs, op, x) - truth) <= 1e-10 * abs(truth), (lam, x)
+            truth = rdv_weyl_sum(lam, x)
+            assert abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), (lam, x)
             if block == 1:
                 b = orbit_integral_oracle(n, lam, x, method="hciz").value
                 assert abs(b - truth) <= 1e-10 * abs(truth), (lam, x)
@@ -294,12 +272,12 @@ def test_hciz_rejects_degenerate_lambda():
 
 
 def test_rdv_accepts_only_the_unitary_group_of_the_point():
-    k = RootSystem("A", 3, ((1, -1, 0),))
-    op = orbit_parameter(A3, A3, [2, 1, 0])
-    c3 = build_root_system("C", 3)
-    for rs_g, rs_k in ((A3, k), (A2, A2), (c3, c3)):
-        with pytest.raises(ValueError, match="rdv_fourier needs"):
-            rdv_fourier(rs_g, rs_k, op, (0.1, 0.5, 0.9))
+    # lam and X must both lie in the Cartan of one U(n)
+    for lam, x in (([2, 1, 0], (0.1, 0.5)), ([2, 1], (0.1, 0.5, 0.9)), ([], (0.1,))):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            rdv_fourier(lam, x)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        rdv_fourier([], [])
 
 
 def test_monte_carlo_matches_rdv_on_repeated_entries():
@@ -311,16 +289,14 @@ def test_monte_carlo_matches_rdv_on_repeated_entries():
         ([1, 0, 1, 0, 1], [0.2, -0.7, 1.1, 0.5, -0.1]),
     ):
         n = len(lam)
-        rs = build_root_system("A", n)
-        truth = rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
+        truth = rdv_fourier(lam, x)
         est = orbit_integral_oracle(n, lam, x, n_samples=100_000, seed=n, method="mc")
         assert abs(est.value - truth) <= 4 * est.stderr + 1e-12 * abs(truth), (lam, est, truth)
 
 
 def test_monte_carlo_agrees_within_three_sigma():
     est = orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=200_000, seed=7, method="mc")
-    op = orbit_parameter(A2, A2, [1, 0])
-    truth = rdv_fourier(A2, A2, op, [1.0, -0.5])
+    truth = rdv_fourier([1, 0], [1.0, -0.5])
     assert abs(est.value - truth) <= 3 * est.stderr
     assert est.stderr < 0.01
 
@@ -328,9 +304,8 @@ def test_monte_carlo_agrees_within_three_sigma():
 def test_small_x_limit_matches_liouville_scaling():
     # as X -> 0 the transform tends to the Liouville volume of the orbit,
     # prod_{alpha in P_lam} <lam, alpha> / <rho, alpha> = 2 here
-    op = orbit_parameter(A2, A2, [2, 0])
     x = (1e-4, -0.7e-4)
-    val = rdv_fourier(A2, A2, op, x)
+    val = rdv_fourier([2, 0], x)
     assert abs(val - 2.0) <= 1e-2 * 2.0
 
 
@@ -382,10 +357,16 @@ def _mp_weyl_sum(lam, x):
 
 
 def test_rdv_matches_mpmath_where_the_weyl_sum_lost_digits():
-    # the float Weyl sum was off by 3.3e-9 here
-    lam, x = (4, 3, -2, -3), (-0.0262, -0.0129, 0.0212, 0.0294)
-    truth = _mp_weyl_sum(lam, x)
-    assert abs(rdv_fourier(A4, A4, orbit_parameter(A4, A4, lam), x) - truth) <= 1e-10 * abs(truth)
+    # the float Weyl sum was off by 3.3e-9 at the first point.  At the second,
+    # cond_2(C) is 3.0e6 from the scale of the rows x_k^s alone, and the guard
+    # once refused with a bound of 2.1e-8; with unit rows the bound is 1.0e-11,
+    # and the error 3.8e-14
+    for lam, x in (
+        ((4, 3, -2, -3), (-0.0262, -0.0129, 0.0212, 0.0294)),
+        ((1, 1, 1, 1, 1, 0), (5, 10, 15, 20, 25, -3)),
+    ):
+        truth = _mp_weyl_sum(lam, x)
+        assert abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), (lam, x)
 
 
 def test_rdv_refuses_a_point_beyond_its_error_bound():
@@ -395,9 +376,8 @@ def test_rdv_refuses_a_point_beyond_its_error_bound():
         ((6, 3, 0, -1, -6), (-0.022, -0.0101, -0.0074, 0.0054, 0.008)),
         ((6, -6), (1e8 + 0.3, 0.1)),
     ):
-        rs = build_root_system("A", len(lam))
         with pytest.raises(SingularPoint, match="error bound"):
-            rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), x)
+            rdv_fourier(lam, x)
 
 
 def test_every_answer_is_within_the_guard_of_mpmath():
@@ -407,12 +387,11 @@ def test_every_answer_is_within_the_guard_of_mpmath():
     rng = random.Random(20261020)
     answered = refused = 0
     for n, block in ((2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 3), (5, 2), (6, 3)):
-        rs = build_root_system("A", n)
         lam, x = orbit_draw(rng, n, block)
         for scale in (1e6, 1e3, 1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-6):
             xs = [scale * v for v in x]
             truth = _mp_weyl_sum(lam, xs)
-            evaluators = [lambda: rdv_fourier(rs, rs, orbit_parameter(rs, rs, lam), xs)]
+            evaluators = [lambda: rdv_fourier(lam, xs)]
             if block == 1:
                 evaluators.append(lambda: orbit_integral_oracle(n, lam, xs, method="hciz").value)
             for evaluate in evaluators:

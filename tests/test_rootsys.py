@@ -38,18 +38,6 @@ def test_roots_are_int_tuples_and_rho_is_a_weight():
             assert all(type(c) is Fraction for c in rho(rs))
 
 
-def test_with_compact_roots_accepts_equal_fraction_roots():
-    # an int and the Fraction of the same value compare and hash alike; the
-    # marked roots are stored as the system's own int tuples
-    rs = build_root_system("C", 2)
-    marked = rs.with_compact_roots([weight(1, -1)])
-    assert marked.compact_positive_roots == ((1, -1),)
-    assert all(type(c) is int for c in marked.compact_positive_roots[0])
-    assert marked == rs.with_compact_roots([(1, -1)])
-    with pytest.raises(ValueError, match="not a positive root"):
-        rs.with_compact_roots([weight("1/2", "-1/2")])
-
-
 def test_c2_and_b2_root_sets():
     c2 = {tuple(map(int, r)) for r in build_root_system("C", 2).positive_roots}
     assert c2 == {(1, -1), (1, 1), (2, 0), (0, 2)}
