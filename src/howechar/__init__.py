@@ -7,12 +7,10 @@ from .errors import (
     ChamberMismatch,
     FormulaInconsistency,
     HowecharError,
-    MonteCarloOnly,
     NonConvergentDirection,
     NotInCorrespondence,
     NotMinimalKType,
     PoleAtPoint,
-    QuadratureUnreliable,
     SingularPoint,
 )
 from .howe import (
@@ -33,11 +31,9 @@ from .howe import (
 from .laurent import (
     LaurentSeries,
     dominant_chamber,
-    eval_exact,
     expand_inverse_root_factor,
     partial_fraction_sum,
     series,
-    series_add,
     series_mul,
 )
 from .orbits import (
@@ -68,6 +64,6 @@ from .thetachar import (
     vandermonde_identity_check,
 )
 from .torus import eval_monomial, is_regular, weyl_denominator
-from .weylchar import QuadratureGrid, schur_oracle, torus_inner_product, weyl_character, weyl_dimension
+from .weylchar import QuadratureGrid, schur_oracle, weyl_character, weyl_dimension
 
 __version__ = "0.1.0"

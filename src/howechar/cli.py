@@ -340,11 +340,16 @@ def _results(args, warnings: list[str]) -> tuple[dict, list]:
         value = rdv_fourier(args.lam, args.x)
         return {"n": args.n, "lam": _strs(args.lam)}, [{"point": args.x, "value": _cvalue(value)}]
     # oracle
-    est = orbit_integral_oracle(
-        args.n, _fractions(args.lam), args.x, n_samples=args.samples, seed=args.seed, method=args.method
-    )
-    meta = {"n": args.n, "lam": args.lam, "samples": args.samples, "seed": args.seed, "method": est.method}
-    return meta, [{"point": args.x, "value": _cvalue(est.value), "stderr": est.stderr}]
+    lam = _fractions(args.lam)
+    if len(lam) != args.n:
+        raise ValueError("dimension mismatch")
+    if args.method == "hciz":
+        value, stderr = rdv_fourier(lam, args.x), None
+    else:
+        est = orbit_integral_oracle(lam, args.x, n_samples=args.samples, seed=args.seed)
+        value, stderr = est.value, est.stderr
+    meta = {"n": args.n, "lam": args.lam, "samples": args.samples, "seed": args.seed, "method": args.method}
+    return meta, [{"point": args.x, "value": _cvalue(value), "stderr": stderr}]
 
 
 def run(argv: list[str]) -> int:

@@ -36,10 +36,3 @@ class NotMinimalKType(HowecharError):
 class FormulaInconsistency(HowecharError):
     """An exact consistency check failed (non-integral or negative multiplicity)."""
 
-
-class QuadratureUnreliable(HowecharError):
-    """Too many grid points were skipped for the quadrature average to be trusted."""
-
-
-class MonteCarloOnly(HowecharError):
-    """The closed-form oracle does not apply (degenerate parameter); use sampling."""

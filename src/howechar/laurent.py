@@ -5,11 +5,11 @@ have denominators 1 or 2.  A chamber direction d orders the exponents by the
 pairing <e, d>; terms with <e, d> < -T are dropped.  Inverse root factors
 1/(h^{b/2} - h^{-b/2}) expand as geometric series toward -infinity along d.
 
-`divide_by_root_factors` is exact at every level it keeps, and so are
-`series_add` and `series_mul` when no term of their inputs was dropped, as
-for finite sums above the truncation.  The product of two truncated
-infinite series is not: a dropped term of one, times a term of the other
-above level 0, can land above the truncation.
+`divide_by_root_factors` is exact at every level it keeps, and so is
+`series_mul` when no term of its inputs was dropped, as for finite sums
+above the truncation.  The product of two truncated infinite series is
+not: a dropped term of one, times a term of the other above level 0, can
+land above the truncation.
 
 `LaurentSeries` stores the doubled form: `doubled` maps the int tuple 2e to
 an int numerator over one denominator `den`, and a term is kept when its int
@@ -17,10 +17,10 @@ level <2e, d> is at least ceil(-2T), so no Fraction is touched inside a loop
 over term pairs.  `terms`, the Fraction-keyed view, is derived on first read.
 
 The library calls `divide_by_root_factors` on the doubled numerator that
-`thetachar` compiles.  `series`, `series_add`, `series_mul`, `monomial`,
-`expand_inverse_root_factor`, `root_factor_series` and `eval_exact` stay:
-the tests check the engine against them, and `benchmarks/layers.py` traces
-`series`, `series_mul` and `expand_inverse_root_factor`.
+`thetachar` compiles.  `series`, `series_mul` and
+`expand_inverse_root_factor` stay because `benchmarks/layers.py` traces
+them, and the tests check the engine against them; `root_factor_series`
+stays because the tests multiply a division back with it.
 """
 
 from __future__ import annotations
@@ -37,16 +37,8 @@ from .errors import ChamberMismatch, NonConvergentDirection, PoleAtPoint
 from .rootsys import Weight, format_weight
 
 Chamber = tuple[int, ...]
-RationalPoint = tuple[Fraction, ...]
 # doubled exponent 2e -> int numerator; the denominator travels beside it
 Doubled = dict[tuple[int, ...], int]
-
-
-def rational_point(values: Sequence) -> RationalPoint:
-    pt = tuple(Fraction(v) for v in values)
-    if any(v == 0 for v in pt):
-        raise ValueError("substitution values must be nonzero")
-    return pt
 
 
 def dominant_chamber(rank: int) -> Chamber:
@@ -153,18 +145,9 @@ def series(
     return LaurentSeries(rank, cham, trunc, kept, den)
 
 
-def monomial(rank: int, chamber: Sequence[int], truncation, exponent: Weight, coeff=1) -> LaurentSeries:
-    return series(rank, chamber, truncation, [(exponent, coeff)])
-
-
 def _check_compatible(a: LaurentSeries, b: LaurentSeries) -> None:
     if a.rank != b.rank or a.chamber != b.chamber:
         raise ChamberMismatch(f"incompatible series: {a.rank}/{a.chamber} vs {b.rank}/{b.chamber}")
-
-
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    _check_compatible(a, b)
-    return series(a.rank, a.chamber, min(a.truncation, b.truncation), [*a.terms.items(), *b.terms.items()])
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -243,19 +226,3 @@ def partial_fraction_sum(values: Sequence[Fraction], power: int, indices: Sequen
         total += Fraction(values[b]) ** power / den
     return total
 
-
-def eval_exact(s: LaurentSeries, p: RationalPoint) -> Fraction:
-    """Exact substitution; exponents must be integers and coordinates nonzero."""
-    if len(p) != s.rank:
-        raise ValueError("dimension mismatch")
-    if any(v == 0 for v in p):
-        raise PoleAtPoint("zero substitution value")
-    total = Fraction(0)
-    for e, c in s.terms.items():
-        if any(x.denominator != 1 for x in e):
-            raise ValueError(f"cannot evaluate half-integer exponent {e} exactly")
-        term = c
-        for v, x in zip(p, e):
-            term *= Fraction(v) ** int(x)
-        total += term
-    return total

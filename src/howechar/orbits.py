@@ -12,12 +12,13 @@ Phys. 21, 1980).  Sort lam decreasing and give the s-th repeat (s = 0, 1,
     F(X) = (-1)^{sum_b k_b(k_b-1)/2} det C / (i^{n(n-1)/2} V(x)),
 
 with k_b the size of each block of equal entries of lam and
-V(x) = prod_{j<k} (x_j - x_k).  rdv_fourier(lam, X) evaluates it, for
-itself and for the 'hciz' oracle; it reads nothing but lam and X, since
-P_lam and W/W_lam follow from the order of lam.  It raises SingularPoint
-where the determinant's error bound eps cond_2(D C) (n + max |lam_j x_k|),
-relative to the value, exceeds COND_GUARD; D scales every row of C to unit
-norm, which leaves the relative error of det C unchanged.
+V(x) = prod_{j<k} (x_j - x_k).  rdv_fourier(lam, X) evaluates it; it
+reads nothing but lam and X, since P_lam and W/W_lam follow from the order
+of lam.  It raises SingularPoint where the determinant's error bound
+cond_2(D C) (n eps + max |fl(lam_j x_k) - lam_j x_k|), relative to the
+value, exceeds COND_GUARD; D scales every row of C to unit norm, which
+leaves the relative error of det C unchanged, and each phase is charged the
+error its float product actually made.
 
 The Monte-Carlo oracle is independent of it: a Haar average of
 e^{i tr(diag(x) U diag(lam) U*)}, drawn column by column by the subgroup
@@ -35,10 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MonteCarloOnly, SingularPoint
+from .errors import SingularPoint
 
 MC_BATCH = 4096  # samples per chunk; chunk i is drawn from the i-th child seed
-COND_GUARD = 1e-9  # largest relative error bound eps cond_2(D C) (n + max |lam_j x_k|) the determinant form accepts
+COND_GUARD = 1e-9  # largest relative error bound of the determinant form, see the module docstring
 
 
 def _as_floats(values: Sequence, name: str) -> list[float]:
@@ -75,10 +76,17 @@ def rdv_fourier(lam: Sequence, X: Sequence[float]) -> complex:
         C = xa ** reps[:, None] * np.exp(1j * phases)
     if not np.isfinite(C).all():
         raise ValueError("an entry of the determinant overflows a float")
-    # the LU's roundoff, n eps, and each phase's rounding, eps |l x|, through
+    # the LU's roundoff, n eps, and the largest error |fl(l x) - l x| of a
+    # phase, exact in the integer ratios of l, x and the float product, through
     # cond_2(D C); a zero row keeps its zeros, so cond stays infinite there
+    ratios = [v.as_integer_ratio() for v in x]
+    slip = max(
+        abs(pn * vd * lj.denominator - lj.numerator * vn * pd) / (pd * vd * lj.denominator)
+        for lj, row in zip(order, phases.tolist())
+        for (pn, pd), (vn, vd) in zip(map(float.as_integer_ratio, row), ratios)
+    )
     norms = np.linalg.norm(C, axis=1, keepdims=True)
-    bound = np.finfo(float).eps * np.linalg.cond(C / np.where(norms > 0, norms, 1.0)) * (n + np.abs(phases).max())
+    bound = np.linalg.cond(C / np.where(norms > 0, norms, 1.0)) * (n * np.finfo(float).eps + slip)
     if bound > COND_GUARD:
         raise SingularPoint(f"the determinant's relative error bound {bound:.1e} exceeds {COND_GUARD:g}")
     v_x = math.prod(x[j] - x[k] for j in range(n) for k in range(j + 1, n))
@@ -139,24 +147,21 @@ def _column_forms(n: int, x: np.ndarray, count: int, rng: np.random.Generator) -
 @dataclass(frozen=True)
 class OracleEstimate:
     value: complex
-    stderr: float | None
-    method: str
+    stderr: float
 
 
 def orbit_integral_oracle(
-    n: int,
     lam: Sequence,
     X: Sequence[float],
     n_samples: int = 10**6,
     seed: int = 0,
     method: str = "mc",
 ) -> OracleEstimate:
-    """Independent estimates of the orbit Fourier transform for U(n), the
-    quantity rdv_fourier computes.
-
-    method='hciz' is rdv_fourier's determinant; it refuses repeated lam with
-    MonteCarloOnly.  method='mc' averages the exponential trace over Haar
-    unitaries and scales the average by the orbit's Liouville volume.
+    """A Monte-Carlo estimate of the orbit Fourier transform for U(n),
+    n = len(lam) = len(X), the quantity rdv_fourier computes by a
+    determinant: the exponential trace averaged over Haar unitaries, times
+    the orbit's Liouville volume.  'mc' is the only method; the argument
+    stays because benchmarks/layers.py reads it to count samples.
 
     The trace needs only x.|u_j|^2 for the first n-1 columns, which each
     batch draws with _column_forms; every row of U has unit norm, so the
@@ -164,7 +169,8 @@ def orbit_integral_oracle(
     """
     lam_f = _as_floats(lam, "lam")
     x = _as_floats(X, "X")
-    if len(lam_f) != n or len(x) != n:
+    n = len(lam_f)
+    if len(x) != n:
         raise ValueError("dimension mismatch")
     if not all(map(math.isfinite, lam_f)):
         raise ValueError("lam must be finite")
@@ -172,15 +178,11 @@ def orbit_integral_oracle(
         raise ValueError("X must be finite")
     if n < 1:
         raise ValueError("rank must be >= 1")
-    order = sorted(map(Fraction, lam), reverse=True)
-    if method == "hciz":
-        if len(set(order)) < n:
-            raise MonteCarloOnly("lam has repeated entries; the determinant oracle needs distinct ones")
-        return OracleEstimate(rdv_fourier(order, x), None, "hciz")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    order = sorted(map(Fraction, lam), reverse=True)
     # the Liouville volume prod_{alpha in P_lam} <lam, alpha>/<rho, alpha>, exact
     # until the one rounding; lam is sorted, so P_lam is the e_j - e_k with
     # j < k and lam_j != lam_k, and <rho, e_j - e_k> = k - j
@@ -203,4 +205,4 @@ def orbit_integral_oracle(
     mean = complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums)) / n_samples
     # every sample has modulus one, so mean |v - mean|^2 = 1 - |mean|^2
     stderr = math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / n_samples)
-    return OracleEstimate(scale * mean, abs(scale) * stderr, "mc")
+    return OracleEstimate(scale * mean, abs(scale) * stderr)

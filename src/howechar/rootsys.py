@@ -79,10 +79,6 @@ class WeylElement:
             raise ValueError(f"bad sign vector: {self.signs}")
 
 
-def identity_element(rank: int) -> WeylElement:
-    return WeylElement(tuple(range(rank)), (1,) * rank)
-
-
 def act(w: WeylElement, mu: Sequence) -> tuple:
     """Apply w to a coordinate vector (weight or angle vector)."""
     if len(mu) != len(w.perm):
@@ -174,17 +170,6 @@ def rho(rs: RootSystem) -> Weight:
         for k, c in enumerate(alpha):
             acc[k] += c
     return tuple(c / 2 for c in acc)
-
-
-def weyl_order(rs: RootSystem) -> int:
-    import math
-
-    n = rs.rank
-    if rs.family == "A":
-        return math.factorial(n)
-    if rs.family in ("B", "C"):
-        return 2**n * math.factorial(n)
-    return 2 ** (n - 1) * math.factorial(n)
 
 
 def signed_permutations(family: str, rank: int, blocks: Sequence[tuple[int, int]]) -> Iterator[WeylElement]:

@@ -315,18 +315,15 @@ def rdv_oracles(quick: bool) -> str:
             lam, x = orbit_draw(rng, n, block)
             truth = rdv_weyl_sum(lam, x)
             _require(abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), n, lam, x)
-            if block == 1:
-                hciz = orbit_integral_oracle(n, lam, x, method="hciz").value
-                _require(abs(hciz - truth) <= 1e-10 * abs(truth), n, lam, x)
     zs = []
     for n, lam, x in ((2, [1, 0], [1.0, -0.5]), (3, [2, 1, -1], [1.2, 0.3, -0.9]))[:mc_cases]:
-        est = orbit_integral_oracle(n, lam, x, n_samples=samples, seed=1109, method="mc")
+        est = orbit_integral_oracle(lam, x, n_samples=samples, seed=1109)
         truth = rdv_fourier(lam, x)
         z = abs(est.value - truth) / est.stderr
         _require(z <= 3.0, n, lam, x, z)
         zs.append(z)
     return (
-        f"rdv and HCIZ == the Weyl sum ({len(cases) * draws} draws, blocks of 1-3 equal entries, rel 1e-10);"
+        f"rdv == the Weyl sum ({len(cases) * draws} draws, blocks of 1-3 equal entries, rel 1e-10);"
         f" Monte-Carlo z-scores {[f'{z:.2f}' for z in zs]} at {samples:.0e} samples"
     )
 

@@ -1,5 +1,6 @@
 """Weyl character and dimension formulas, a Gelfand-Tsetlin/Schur oracle,
-and torus quadrature for inner products of class functions."""
+and the Weyl numerators on a quadrature grid that check the orthogonality
+of characters."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import methodcaller
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, QuadratureUnreliable
+from .errors import CapExceeded
 from .rootsys import (
     RootSystem,
     Weight,
@@ -23,14 +24,11 @@ from .rootsys import (
     weight_add,
     weight_dot,
     weyl_elements,
-    weyl_order,
 )
 from .torus import as_point, guarded_denominator, root_rows
 
 SCHUR_WEIGHT_CAP = 12  # largest |lam| schur_oracle enumerates
 SCHUR_LENGTH_CAP = 5  # most variables schur_oracle accepts
-SKIP_TOL = 1e-12  # |Delta_0|^2 below this marks a grid point as singular
-MAX_SKIP_FRACTION = 0.01  # share of regular grid points that may be non-finite
 
 _ratio = methodcaller("as_integer_ratio")  # exact for int, Fraction and float
 
@@ -155,10 +153,6 @@ def schur_oracle(lam: Sequence[int], x: Sequence):
     return total
 
 
-def denominator_sq_on_grid(rs: RootSystem, points: np.ndarray) -> np.ndarray:
-    return np.prod(4.0 * np.sin(points @ root_rows(rs).T / 2.0) ** 2, axis=1)
-
-
 def character_numerators_on_grid(rs: RootSystem, lam: Weight, points: np.ndarray) -> np.ndarray:
     """Alternating Weyl numerator values; finite on the whole grid.
 
@@ -174,46 +168,3 @@ def character_numerators_on_grid(rs: RootSystem, lam: Weight, points: np.ndarray
     exps = np.array([act(w, lam_rho) for w in elements], dtype=float)
     signs = np.array([sign(w) for w in elements], dtype=float)
     return np.exp(1j * (points @ exps.T)) @ signs
-
-
-def torus_inner_product(
-    f: Callable[[Sequence[float]], complex] | np.ndarray,
-    g: Callable[[Sequence[float]], complex] | np.ndarray,
-    rs_K: RootSystem,
-    grid: QuadratureGrid,
-) -> complex:
-    """(1/|W_K|) * grid average of f * conj(g) * |Delta_0|^2.
-
-    f and g may be callables on angle tuples or precomputed value arrays
-    aligned with grid.points().  Evaluations on the singular set contribute
-    zero: continuous class functions make the weighted integrand vanish
-    there, so undefined f/g values at weight-zero points are harmless.
-    Non-finite values away from the singular set are skipped and counted;
-    more than MAX_SKIP_FRACTION of the grid raises QuadratureUnreliable.
-    """
-    if grid.rank != rs_K.rank:
-        raise ValueError("grid rank must match the root system rank")
-    pts = grid.points()
-    weight_sq = denominator_sq_on_grid(rs_K, pts)
-    singular = weight_sq < SKIP_TOL
-
-    def values(h):
-        if isinstance(h, np.ndarray):
-            return np.asarray(h, dtype=complex)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for i, p in enumerate(pts):
-            if singular[i]:
-                continue
-            out[i] = h(tuple(p))
-        return out
-
-    fv, gv = values(f), values(g)
-    if fv.shape[0] != pts.shape[0] or gv.shape[0] != pts.shape[0]:
-        raise ValueError("value arrays must align with grid.points()")
-    finite = np.isfinite(fv) & np.isfinite(gv)
-    keep = finite & ~singular
-    skipped = int((~finite & ~singular).sum())
-    if skipped > MAX_SKIP_FRACTION * pts.shape[0]:
-        raise QuadratureUnreliable(f"{skipped} of {pts.shape[0]} regular grid points skipped")
-    total = np.sum(fv[keep] * np.conj(gv[keep]) * weight_sq[keep]) / pts.shape[0]
-    return complex(total) / weyl_order(rs_K)

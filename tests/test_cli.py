@@ -155,12 +155,29 @@ def test_char_beyond_the_weyl_group_enumeration_cap(capsys):
 
 
 def test_oracle_and_rdv_cli(capsys):
-    _, out, _ = call(capsys, ["rdv", "--n", "2", "--lam", "1,0", "--x", "1.0,-0.5"])
-    ref = json.loads(out)["results"][0]["value"]
-    _, out, _ = call(capsys, ["oracle", "--n", "2", "--lam", "1, 0", "--x", "1.0,-0.5", "--method", "hciz"])
-    assert json.loads(out)["meta"]["lam"] == "1, 0"  # echoed as given
-    val = json.loads(out)["results"][0]["value"]
-    assert abs(val["re"] - ref["re"]) < 1e-9 and abs(val["im"] - ref["im"]) < 1e-9
+    # `oracle --method hciz` prints rdv's value, for a repeated lam too
+    cases = (("2", "1, 0", "1.0,-0.5"), ("3", "1,1,1", "0.3,0.5,0.9"), ("4", "2,1/2,2,-1", "0.7,-0.4,1.1,0.2"))
+    for n, lam, x in cases:
+        code, out, _ = call(capsys, ["rdv", "--n", n, "--lam", lam, "--x", x])
+        assert code == 0
+        ref = json.loads(out)["results"][0]
+        code, out, _ = call(capsys, ["oracle", "--n", n, "--lam", lam, "--x", x, "--method", "hciz"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["lam"] == lam  # echoed as given
+        assert doc["results"] == [{**ref, "stderr": None}]
+
+
+def test_monte_carlo_oracle_keeps_its_bytes(capsys):
+    # frozen from the oracle before its determinant branch moved to the CLI
+    argv = ["oracle", "--n", "3", "--lam=2,1/2,-1", "--x=0.7,-0.4,1.1", "--samples", "5000", "--seed", "11"]
+    assert call(capsys, argv) == (
+        0,
+        '{"meta":{"lam":"2,1/2,-1","method":"mc","n":3,"samples":5000,"seed":11},'
+        '"results":[{"point":[0.7,-0.4,1.1],"stderr":0.0341119831580125,'
+        '"value":{"im":1.5121954949636218,"re":1.812664560846569}}],"warnings":[]}\n',
+        "",
+    )
 
 
 def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
@@ -176,13 +193,13 @@ def test_rationals_beyond_the_float_range_are_one_line_domain_errors(capsys):
 
 
 def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
-    # finite points at which one step of the determinant form that rdv and the
-    # HCIZ oracle share overflows a float (a phase lam_j x_k, a power x_k^s of
-    # a repeated entry, the product of the root pairings of a point spread
-    # over n = 27 coordinates), or at which its error bound refuses the point
-    # (at a huge x, just off the walls, or on one), or whose x has fewer
-    # coordinates than lam.  Each must end in one line naming that step, with
-    # no NaN value and no RuntimeWarning
+    # finite points at which one step of the determinant form that rdv and
+    # `oracle --method hciz` share overflows a float (a phase lam_j x_k, a
+    # power x_k^s of a repeated entry, the product of the root pairings of a
+    # point with a huge exact coordinate or spread over n = 27 coordinates),
+    # or at which its error bound refuses the point (just off the walls, or on
+    # one), or whose x has fewer coordinates than lam.  Each must end in one
+    # line naming that step, with no NaN value and no RuntimeWarning
     near_walls = ",".join(repr(k * 1.0000001e-9) for k in range(9, 0, -1))
     # lam_j x_k = 10 jk / 43, about 2 pi jk / 27: C is close to a unitary matrix
     spread = ["--n", "27", "--lam=" + ",".join(f"{k}/43" for k in range(27))]
@@ -191,8 +208,8 @@ def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
     entry = "ValueError: an entry of the determinant overflows a float"
     refused = "SingularPoint: the determinant's relative error bound "
     for argv, line in (
-        (["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"], refused),
-        (["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"], refused),
+        (["rdv", "--n", "3", "--lam=1,0,-1", "--x=1e200,2,3"], pairings),
+        (["oracle", "--n", "3", "--lam=1,0,-1", "--x=1e300,2,3", "--method", "hciz"], pairings),
         (["rdv", *spread], pairings),
         (["oracle", *spread, "--method", "hciz"], pairings),
         (["rdv", "--n", "2", "--lam=1e200,0", "--x=1e200,0"], entry),
@@ -209,7 +226,7 @@ def test_points_whose_pairings_overflow_are_one_line_domain_errors(capsys):
             code, out, err = call(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith(line) and err.count("\n") == 1, (argv, err)
-    # the HCIZ oracle's constant prod k! passed the float range at n = 27;
+    # the old HCIZ oracle's constant prod k! passed the float range at n = 27;
     # the determinant form has no constant and answers there
     half_steps = ",".join(str(k / 2) for k in range(27))
     with warnings.catch_warnings():

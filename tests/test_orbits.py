@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from howechar.errors import MonteCarloOnly, SingularPoint
+from howechar.errors import SingularPoint
 from howechar.orbits import (
     COND_GUARD,
     MC_BATCH,
@@ -223,7 +223,7 @@ def test_monte_carlo_stderr_matches_two_pass_formula():
     children = np.random.SeedSequence(seed).spawn(len(counts))
     for n in (1, 2, 3, 5):
         lam, x = [2, -1, 0, 3, 1][:n][::-1], [1.0, -0.5, 0.7, -1.3, 0.2][:n]
-        est = orbit_integral_oracle(n, lam, x, n_samples=n_samples, seed=seed, method="mc")
+        est = orbit_integral_oracle(lam, x, n_samples=n_samples, seed=seed)
         superfactorial = math.prod(math.factorial(k) for k in range(1, n))
         scale = math.prod(abs(a - b) for a, b in itertools.combinations(lam, 2)) / superfactorial
         lam_v, xdiag = np.array(lam, dtype=float), np.array(x)
@@ -246,29 +246,20 @@ def test_monte_carlo_matches_hciz_at_every_rank():
     lam = [3, 1, 0, -2, 4]
     x = [0.9, -0.4, 1.7, -1.2, 0.3]
     for n in (2, 3, 4, 5):
-        est = orbit_integral_oracle(n, lam[:n], x[:n], n_samples=200_000, seed=n, method="mc")
-        truth = orbit_integral_oracle(n, lam[:n], x[:n], method="hciz").value
+        est = orbit_integral_oracle(lam[:n], x[:n], n_samples=200_000, seed=n)
+        truth = rdv_fourier(lam[:n], x[:n])
         assert abs(est.value - truth) <= 4 * est.stderr, n
 
 
 def test_hciz_matches_rdv():
-    # rdv and the HCIZ oracle share the determinant form, so both are held to
-    # the Weyl sum over W/W_lam, with blocks of 2 and 3 equal entries for rdv
+    # rdv's determinant form, which `oracle --method hciz` prints too, is held
+    # to the Weyl sum over W/W_lam, with blocks of 1, 2 and 3 equal entries
     rng = random.Random(33)
     for n, block in ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3), (5, 3)):
         for _ in range(20):
             lam, x = orbit_draw(rng, n, block)
             truth = rdv_weyl_sum(lam, x)
             assert abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), (lam, x)
-            if block == 1:
-                b = orbit_integral_oracle(n, lam, x, method="hciz").value
-                assert abs(b - truth) <= 1e-10 * abs(truth), (lam, x)
-
-
-def test_hciz_rejects_degenerate_lambda():
-    for lam in ([1.0, 1.0], [2, 0, 2]):
-        with pytest.raises(MonteCarloOnly):
-            orbit_integral_oracle(len(lam), lam, [0.5, 1.5, -1.0][: len(lam)], method="hciz")
 
 
 def test_rdv_accepts_only_the_unitary_group_of_the_point():
@@ -290,12 +281,12 @@ def test_monte_carlo_matches_rdv_on_repeated_entries():
     ):
         n = len(lam)
         truth = rdv_fourier(lam, x)
-        est = orbit_integral_oracle(n, lam, x, n_samples=100_000, seed=n, method="mc")
+        est = orbit_integral_oracle(lam, x, n_samples=100_000, seed=n)
         assert abs(est.value - truth) <= 4 * est.stderr + 1e-12 * abs(truth), (lam, est, truth)
 
 
 def test_monte_carlo_agrees_within_three_sigma():
-    est = orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=200_000, seed=7, method="mc")
+    est = orbit_integral_oracle([1, 0], [1.0, -0.5], n_samples=200_000, seed=7)
     truth = rdv_fourier([1, 0], [1.0, -0.5])
     assert abs(est.value - truth) <= 3 * est.stderr
     assert est.stderr < 0.01
@@ -317,23 +308,23 @@ def test_monte_carlo_scale_is_exact_past_the_float_range():
     # second.  At X = 0 every sample is 1, so the estimate is the scale itself
     for step in (1, 2):
         lam = [Fraction(k, step) for k in range(30)]
-        est = orbit_integral_oracle(30, lam, [0.0] * 30, n_samples=8, method="mc")
+        est = orbit_integral_oracle(lam, [0.0] * 30, n_samples=8)
         assert est.value == 2.0 ** (-435 * (step - 1)), step
 
 
 def test_monte_carlo_rejects_non_positive_sample_counts():
     for n_samples in (0, -5):
         with pytest.raises(ValueError, match="n_samples"):
-            orbit_integral_oracle(2, [1, 0], [1.0, -0.5], n_samples=n_samples, method="mc")
+            orbit_integral_oracle([1, 0], [1.0, -0.5], n_samples=n_samples)
 
 
 def test_oracle_rejects_non_finite_input():
-    for method in ("mc", "hciz"):
-        for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf):
+        for evaluate in (rdv_fourier, lambda lam, x: orbit_integral_oracle(lam, x, n_samples=10)):
             with pytest.raises(ValueError, match="X must be finite"):
-                orbit_integral_oracle(2, [1, 0], [bad, 0.5], n_samples=10, method=method)
-            with pytest.raises(ValueError, match="lam must be finite"):
-                orbit_integral_oracle(2, [bad, 0], [1.0, 0.5], n_samples=10, method=method)
+                evaluate([1, 0], [bad, 0.5])
+        with pytest.raises(ValueError, match="lam must be finite"):
+            orbit_integral_oracle([bad, 0], [1.0, 0.5], n_samples=10)
 
 
 def _mp_weyl_sum(lam, x):
@@ -360,10 +351,14 @@ def test_rdv_matches_mpmath_where_the_weyl_sum_lost_digits():
     # the float Weyl sum was off by 3.3e-9 at the first point.  At the second,
     # cond_2(C) is 3.0e6 from the scale of the rows x_k^s alone, and the guard
     # once refused with a bound of 2.1e-8; with unit rows the bound is 1.0e-11,
-    # and the error 3.8e-14
+    # and the error 3.8e-14.  At the third, the phases lam_j x_1 up to 9.1e9
+    # are exact and the others err by at most 8.9e-16, yet the guard charged
+    # each phase eps |lam_j x_k| and refused with a bound of 4.0e-5; the
+    # error is 1.1e-15
     for lam, x in (
         ((4, 3, -2, -3), (-0.0262, -0.0129, 0.0212, 0.0294)),
         ((1, 1, 1, 1, 1, 0), (5, 10, 15, 20, 25, -3)),
+        ((7, 3, -6), (1.3e9, 0.1, -2.2)),
     ):
         truth = _mp_weyl_sum(lam, x)
         assert abs(rdv_fourier(lam, x) - truth) <= 1e-10 * abs(truth), (lam, x)
@@ -382,8 +377,8 @@ def test_rdv_refuses_a_point_beyond_its_error_bound():
 
 def test_every_answer_is_within_the_guard_of_mpmath():
     # a fixed sweep of x scaled from 1e6 down to 1e-6, with lam distinct or
-    # with a block of 2 or 3: rdv and the HCIZ oracle answer within
-    # COND_GUARD of the Weyl sum in mpmath, or raise SingularPoint
+    # with a block of 2 or 3: rdv answers within COND_GUARD of the Weyl sum
+    # in mpmath, or raises SingularPoint
     rng = random.Random(20261020)
     answered = refused = 0
     for n, block in ((2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 3), (5, 2), (6, 3)):
@@ -391,15 +386,11 @@ def test_every_answer_is_within_the_guard_of_mpmath():
         for scale in (1e6, 1e3, 1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-6):
             xs = [scale * v for v in x]
             truth = _mp_weyl_sum(lam, xs)
-            evaluators = [lambda: rdv_fourier(lam, xs)]
-            if block == 1:
-                evaluators.append(lambda: orbit_integral_oracle(n, lam, xs, method="hciz").value)
-            for evaluate in evaluators:
-                try:
-                    value = evaluate()
-                except SingularPoint:
-                    refused += 1
-                    continue
-                answered += 1
-                assert abs(value - truth) <= COND_GUARD * abs(truth), (lam, xs, value, truth)
+            try:
+                value = rdv_fourier(lam, xs)
+            except SingularPoint:
+                refused += 1
+                continue
+            answered += 1
+            assert abs(value - truth) <= COND_GUARD * abs(truth), (lam, xs, value, truth)
     assert answered >= 40 and refused >= 10, (answered, refused)

@@ -13,7 +13,6 @@ from howechar.weylchar import (
     QuadratureGrid,
     character_numerators_on_grid,
     schur_oracle,
-    torus_inner_product,
     weyl_character,
     weyl_dimension,
 )
@@ -120,45 +119,20 @@ def test_weyl_invariance_of_character():
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-def test_torus_inner_product_orthogonality():
-    grid = QuadratureGrid(32, 2)
-
-    def char(lam):
-        return lambda th: weyl_character(A2, lam, th)
-
-    ip11 = torus_inner_product(char(weight(1, 0)), char(weight(1, 0)), A2, grid)
-    assert abs(ip11 - 1) < 1e-10
-    ip12 = torus_inner_product(char(weight(1, 0)), char(weight(2, 0)), A2, grid)
-    assert abs(ip12) < 1e-10
-
-
-def test_torus_inner_product_denominator_mass():
-    grid = QuadratureGrid(32, 2)
-    one = lambda th: 1.0
-    assert abs(torus_inner_product(one, one, A2, grid) - 1) < 1e-10
-
-
 def test_numerator_pairing_equals_weighted_character_pairing():
     # chi_a conj(chi_b) |Delta|^2 == A_a conj(A_b) pointwise, so the plain
-    # numerator average must match torus_inner_product on the same grid
-    grid = QuadratureGrid(16, 2)
-    pts = grid.points()
-    na = character_numerators_on_grid(A2, weight(1, 0), pts)
-    nb = character_numerators_on_grid(A2, weight(2, 1), pts)
-    plain = np.mean(na * np.conj(nb)) / 2.0
-    weighted = torus_inner_product(
-        lambda th: weyl_character(A2, weight(1, 0), th),
-        lambda th: weyl_character(A2, weight(2, 1), th),
-        A2,
-        grid,
-    )
-    assert abs(plain - weighted) < 1e-10
-
-
-def test_quadrature_unreliable_on_bad_evaluator():
-    import howechar.errors as errs
-
-    grid = QuadratureGrid(8, 2)
-    bad = lambda th: float("nan")
-    with pytest.raises(errs.QuadratureUnreliable):
-        torus_inner_product(bad, bad, A2, grid)
+    # numerator average must match the |Delta|^2-weighted character average
+    # over |W| on the same grid, whose singular points weigh zero; both are 0
+    # for an orthogonal pair and 1 for a character with itself
+    pts = QuadratureGrid(16, 2).points()
+    for a, b in ((weight(1, 0), weight(2, 1)), (weight(2, 1), weight(2, 1))):
+        na = character_numerators_on_grid(A2, a, pts)
+        nb = character_numerators_on_grid(A2, b, pts)
+        plain = np.mean(na * np.conj(nb)) / 2.0
+        weighted = 0
+        for th in pts:
+            weight_sq = abs(weyl_denominator(A2, th)) ** 2
+            if weight_sq > 1e-12:
+                weighted += weyl_character(A2, a, th) * np.conj(weyl_character(A2, b, th)) * weight_sq
+        assert abs(plain - weighted / len(pts) / 2.0) < 1e-10
+        assert abs(plain - (a == b)) < 1e-10
