@@ -82,131 +82,125 @@ def _emit(meta: dict, results: list, warnings: list[str]) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str))
 
 
-def _add_point_options(sp) -> None:
-    sp.add_argument("--theta", type=_floats, help="comma-separated angles in radians")
-    sp.add_argument("--random-regular", type=int, default=0, metavar="COUNT")
-    sp.add_argument("--seed", type=int, default=0)
-
-
-def _add_pair_options(sp) -> None:
-    sp.add_argument("--pair", required=True, choices=sorted(PAIR_ALIASES))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument(
-        "--m",
+_ROOT_SYSTEM = {
+    "--family": dict(required=True, choices=tuple("ABCD")),
+    "--rank": dict(type=int, required=True),
+}
+_WEIGHT = {"--weight": dict(type=_fractions, required=True)}
+_POINTS = {
+    "--theta": dict(type=_floats, help="comma-separated angles in radians"),
+    "--random-regular": dict(type=int, default=0, metavar="COUNT"),
+    "--seed": dict(type=int, default=0),
+}
+_PAIR = {
+    "--pair": dict(required=True, choices=sorted(PAIR_ALIASES)),
+    "--n": dict(type=int, required=True),
+    "--p": dict(type=int),
+    "--q": dict(type=int),
+    "--m": dict(
         type=int,
         help="for uu: the embedding index m (default: auto); otherwise the size of the noncompact member",
-    )
-    sp.add_argument("--nu", type=_fractions, required=True, help="comma-separated rationals, e.g. '3/2,-1/2'")
+    ),
+    "--nu": dict(type=_fractions, required=True, help="comma-separated rationals, e.g. '3/2,-1/2'"),
+}
+
+# The one CLI grammar: per subcommand, in order, its help and its options as
+# argparse keywords.  _read_plain reads it directly; build_parser builds
+# argparse from it only for argv the reader declines.
+GRAMMAR = {
+    "roots": ("positive roots of a classical system", _ROOT_SYSTEM),
+    "rho": ("half-sum of positive roots", _ROOT_SYSTEM),
+    "char": ("Weyl character value at torus points", {**_ROOT_SYSTEM, **_WEIGHT, **_POINTS}),
+    "dim": ("Weyl dimension of a highest weight", {**_ROOT_SYSTEM, **_WEIGHT}),
+    "theta": ("dual-pair character at torus points", {**_PAIR, **_POINTS}),
+    "theta-closed-u1": (
+        "rank-one closed forms",
+        {
+            "--p": dict(type=int, required=True),
+            "--q": dict(type=int, required=True),
+            "--lam1": dict(type=int, required=True),
+            "--m": dict(type=int, required=True, choices=(0, 1)),
+            **_POINTS,
+        },
+    ),
+    "numerator": ("polynomial numerator form at torus points", {**_PAIR, **_POINTS}),
+    "constant": (
+        "normalizing constant from the minimal K-type",
+        {
+            **_PAIR,
+            "--lambda-min": dict(type=_fractions, help="comma-separated rationals; default from the expansion"),
+            "--truncation": dict(
+                type=int,
+                default=40,
+                help="accepted and echoed in meta, but no longer changes the result: the coefficient at lambda-min + "
+                "rho_0 is read exactly from one series cut at its level",
+            ),
+        },
+    ),
+    "ktypes": (
+        "K-type multiplicities to a chamber depth",
+        {
+            **_PAIR,
+            "--truncation": dict(
+                type=int, default=20, help="chamber depth below the top of the series; every K-type down to it is exact"
+            ),
+        },
+    ),
+    "support": ("support interval and exponent table", _PAIR),
+    "identity": (
+        "partial-fraction identity check",
+        {
+            "--p": dict(type=int, required=True),
+            "--q": dict(type=int, required=True),
+            "--k": dict(type=int, required=True),
+            "--mode": dict(choices=("grid", "random"), default="grid"),
+            "--seed": dict(type=int, default=0),
+        },
+    ),
+    "rdv": (
+        "coadjoint-orbit Fourier transform for U(n)",
+        {
+            "--n": dict(type=int, required=True),
+            "--lam": dict(type=_fractions, required=True, help="comma-separated rationals"),
+            "--x": dict(type=_floats, required=True, help="comma-separated reals"),
+        },
+    ),
+    "oracle": (
+        "Monte-Carlo / determinant orbit oracles",
+        {
+            "--n": dict(type=int, required=True),
+            "--lam": dict(type=_rational_text, required=True, help="comma-separated rationals"),
+            "--x": dict(type=_floats, required=True),
+            "--samples": dict(type=int, default=10**5),
+            "--seed": dict(type=int, default=0),
+            "--method": dict(choices=("mc", "hciz"), default="mc"),
+        },
+    ),
+    "verify": ("run the invariant suite; nonzero exit on failure", {"--quick": dict(action="store_true")}),
+}
+
+
+@functools.cache
+def _plain_table(command: str) -> tuple[dict, dict, set]:
+    """One subcommand's GRAMMAR entry as the reader uses it: the Namespace
+    attribute of each option string ('--lambda-min' -> 'lambda_min', as
+    argparse names it), the Namespace defaults and the required options."""
+    options = GRAMMAR[command][1]
+    dests = {o: o[2:].replace("-", "_") for o in options}
+    defaults = {dests[o]: kw.get("default", False if "action" in kw else None) for o, kw in options.items()}
+    return dests, {"command": command, **defaults}, {o for o, kw in options.items() if kw.get("required")}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """argparse built from GRAMMAR, once per process and only when needed."""
     parser = argparse.ArgumentParser(prog="howechar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("roots", help="positive roots of a classical system")
-    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
-    sp.add_argument("--rank", type=int, required=True)
-
-    sp = sub.add_parser("rho", help="half-sum of positive roots")
-    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
-    sp.add_argument("--rank", type=int, required=True)
-
-    sp = sub.add_parser("char", help="Weyl character value at torus points")
-    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--weight", type=_fractions, required=True)
-    _add_point_options(sp)
-
-    sp = sub.add_parser("dim", help="Weyl dimension of a highest weight")
-    sp.add_argument("--family", required=True, choices=tuple("ABCD"))
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--weight", type=_fractions, required=True)
-
-    sp = sub.add_parser("theta", help="dual-pair character at torus points")
-    _add_pair_options(sp)
-    _add_point_options(sp)
-
-    sp = sub.add_parser("theta-closed-u1", help="rank-one closed forms")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--lam1", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True, choices=(0, 1))
-    _add_point_options(sp)
-
-    sp = sub.add_parser("numerator", help="polynomial numerator form at torus points")
-    _add_pair_options(sp)
-    _add_point_options(sp)
-
-    sp = sub.add_parser("constant", help="normalizing constant from the minimal K-type")
-    _add_pair_options(sp)
-    sp.add_argument(
-        "--lambda-min", dest="lambda_min", type=_fractions, help="comma-separated rationals; default from the expansion"
-    )
-    sp.add_argument(
-        "--truncation",
-        type=int,
-        default=40,
-        help="accepted and echoed in meta, but no longer changes the result: the coefficient at lambda-min + rho_0 "
-        "is read exactly from one series cut at its level",
-    )
-
-    sp = sub.add_parser("ktypes", help="K-type multiplicities to a chamber depth")
-    _add_pair_options(sp)
-    sp.add_argument(
-        "--truncation", type=int, default=20, help="chamber depth below the top of the series; every K-type down to it is exact"
-    )
-
-    sp = sub.add_parser("support", help="support interval and exponent table")
-    _add_pair_options(sp)
-
-    sp = sub.add_parser("identity", help="partial-fraction identity check")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--mode", choices=("grid", "random"), default="grid")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("rdv", help="coadjoint-orbit Fourier transform for U(n)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", type=_fractions, required=True, help="comma-separated rationals")
-    sp.add_argument("--x", type=_floats, required=True, help="comma-separated reals")
-
-    sp = sub.add_parser("oracle", help="Monte-Carlo / determinant orbit oracles")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", type=_rational_text, required=True, help="comma-separated rationals")
-    sp.add_argument("--x", type=_floats, required=True)
-    sp.add_argument("--samples", type=int, default=10**5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--method", choices=("mc", "hciz"), default="mc")
-
-    sp = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
-    sp.add_argument("--quick", action="store_true")
-
+    for command, (text, options) in GRAMMAR.items():
+        sp = sub.add_parser(command, help=text)
+        for option, keywords in options.items():
+            sp.add_argument(option, **keywords)
     return parser
-
-
-@functools.cache
-def _plain_grammar() -> dict:
-    """build_parser()'s grammar as lookup tables, built once per process.
-
-    Per subcommand: {option string: action}, the Namespace defaults and the
-    required dests.  A subcommand with an action other than a one-value
-    store or a store_true (its help action aside) gets no table."""
-    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    grammar = {}
-    for name, sp in commands.choices.items():
-        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
-        if all(
-            a.option_strings and (type(a) is argparse._StoreTrueAction or (type(a) is argparse._StoreAction and a.nargs is None))
-            for a in actions
-        ):
-            options = {s: a for a in actions for s in a.option_strings}
-            defaults = {"command": name, **{a.dest: a.default for a in actions}}
-            grammar[name] = options, defaults, {a.dest for a in actions if a.required}
-    return grammar
 
 
 def _read_plain(argv) -> argparse.Namespace | None:
@@ -215,22 +209,22 @@ def _read_plain(argv) -> argparse.Namespace | None:
     `--opt=value` or as the next token when that does not start with '-'.
     None for anything else (help, abbreviations, '--', a negative number as
     its own token, a bad value, a missing option): argparse decides those."""
-    grammar = _plain_grammar()
-    if not argv or argv[0] not in grammar:
+    if not argv or argv[0] not in GRAMMAR:
         return None
-    options, defaults, required = grammar[argv[0]]
+    options = GRAMMAR[argv[0]][1]
+    dests, defaults, required = _plain_table(argv[0])
     values = dict(defaults)
     seen = set()
     tokens = iter(argv[1:])
     for token in tokens:
-        name, eq, value = token.partition("=")
-        action = options.get(name)
-        if action is None:
+        option, eq, value = token.partition("=")
+        keywords = options.get(option)
+        if keywords is None:
             return None
-        if action.nargs == 0:  # store_true, which takes no value
+        if "action" in keywords:  # store_true, which takes no value
             if eq:
                 return None
-            value = action.const
+            value = True
         else:
             if not eq:
                 value = next(tokens, "-")
@@ -238,15 +232,15 @@ def _read_plain(argv) -> argparse.Namespace | None:
                     return None
             elif value == "--":  # argparse strips a '--' value to an empty list
                 return None
-            if action.type is not None:
+            if "type" in keywords:
                 try:
-                    value = action.type(value)
+                    value = keywords["type"](value)
                 except (argparse.ArgumentTypeError, TypeError, ValueError):
                     return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in keywords and value not in keywords["choices"]:
                 return None
-        values[action.dest] = value
-        seen.add(action.dest)
+        values[dests[option]] = value
+        seen.add(option)
     if not required <= seen:
         return None
     return argparse.Namespace(**values)
@@ -353,21 +347,20 @@ def _results(args, warnings: list[str]) -> tuple[dict, list]:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     args = _read_plain(argv)
     if args is None:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     if getattr(args, "pair", None) is not None:
         sizes = ("p", "q") if PAIR_ALIASES[args.pair] is PairKind.UU else ("m",)
         missing = [f"--{s}" for s in sizes if getattr(args, s) is None]
         if missing:
-            parser.error(f"--pair {args.pair} needs {' and '.join(missing)}")
+            build_parser().error(f"--pair {args.pair} needs {' and '.join(missing)}")
     if args.command == "oracle" and args.samples < 1:
-        parser.error(f"--samples must be at least 1, got {args.samples}")
+        build_parser().error(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "random_regular", 1) <= 0 and args.theta is None:
-        parser.error("provide --theta or a positive --random-regular COUNT")
+        build_parser().error("provide --theta or a positive --random-regular COUNT")
     if args.command == "ktypes" and args.truncation < 0:
-        parser.error(f"--truncation must be at least 0, got {args.truncation}")
+        build_parser().error(f"--truncation must be at least 0, got {args.truncation}")
     if args.command == "verify":
         from . import verify  # imported here: no other subcommand needs the check table
 

@@ -113,12 +113,16 @@ def theta_character(pair: DualPairSpec, nu: Sequence, m: int | None = None) -> T
     tables are compiled once and are read-only.  Invalid arguments raise on
     every call.  ThetaCharacter(...) still builds a fresh instance.
     """
-    return _theta_character(pair, tuple(Fraction(v) for v in nu), m)
+    try:  # keyed on nu's (numerator, denominator) pairs, which hash fast
+        ratios = tuple(v.as_integer_ratio() for v in nu)
+    except AttributeError:  # text, or a number type without the method
+        ratios = tuple(Fraction(v).as_integer_ratio() for v in nu)
+    return _theta_character(pair, ratios, m)
 
 
 @lru_cache(maxsize=THETA_CACHE_SIZE)
-def _theta_character(pair: DualPairSpec, nu: tuple[Fraction, ...], m: int | None) -> ThetaCharacter:
-    cd = validate_weight(pair, nu)
+def _theta_character(pair: DualPairSpec, ratios: tuple[tuple[int, int], ...], m: int | None) -> ThetaCharacter:
+    cd = validate_weight(pair, tuple(Fraction(*r) for r in ratios))
     interval = support_interval(pair, cd)
     if pair.kind is PairKind.UU:
         s_lo, s_hi = structural_m_range(pair)

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from howechar.cli import _floats, _fractions, _rational_text, _read_plain, build_parser, main, run
+from howechar.cli import GRAMMAR, _floats, _fractions, _rational_text, _read_plain, build_parser, main, run
 
 CLI = [sys.executable, "-m", "howechar.cli"]
 
@@ -274,31 +274,32 @@ def test_run_function_in_process():
     assert exc.value.code == 2
 
 
-def _subparsers():
-    parser = build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, commands.choices
+def _help_options(capsys, command):
+    """The option strings argparse lists in a subcommand's help, -h aside."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    return [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
 
 
-def _sweep_tokens(rng, action):
+def _sweep_tokens(rng, option, keywords):
     """One occurrence of an option: a valid or invalid value, in '=' or separate form."""
-    opt = action.option_strings[0]
-    if action.nargs == 0:
-        return [opt] if rng.random() < 0.9 else [f"{opt}=1"]
-    if action.choices is not None:
-        valid, invalid = [str(c) for c in action.choices], ["AB", "", "2", "x"]
-    elif action.type is int:
+    convert = keywords.get("type")
+    if "action" in keywords:  # store_true
+        return [option] if rng.random() < 0.9 else [f"{option}=1"]
+    if "choices" in keywords:
+        valid, invalid = [str(c) for c in keywords["choices"]], ["AB", "", "2", "x"]
+    elif convert is int:
         valid, invalid = ["0", "1", "3", "12", " 4", "-2"], ["x", "1.5", ""]
-    elif action.type is _fractions:
+    elif convert is _fractions:
         valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "1,,2", ""], ["1/0", "x", "nan", "1/2/3", "--", "-"]
-    elif action.type is _floats:
+    elif convert is _floats:
         valid, invalid = ["1.0,-2.5", "0.5", "-1,2", "1,,2", "nan", "inf,1", ""], ["1/0", "1/2", "x", "1,y", "--", "-"]
-    elif action.type is _rational_text:  # oracle --lam: checked as rationals, kept as text
+    elif convert is _rational_text:  # oracle --lam: checked as rationals, kept as text
         valid, invalid = ["1,0", "1/2", "-1/2,0", "0.5,-1", "2", "1, 0", ""], ["1/0", "x", "--", "-"]
     else:
-        raise AssertionError(f"no sweep values for {opt}")
+        raise AssertionError(f"no sweep values for {option}")
     value = rng.choice(valid if rng.random() < 0.85 else invalid)
-    return [f"{opt}={value}"] if rng.random() < 0.5 else [opt, value]
+    return [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
 
 
 def _same(a: argparse.Namespace, b: argparse.Namespace) -> bool:
@@ -310,18 +311,23 @@ STRAY_TOKENS = ["-h", "--help", "--", "stray", "--format", "--format=table", "--
 
 
 def test_plain_reader_agrees_with_argparse(capsys):
+    # argparse is built from GRAMMAR, so it lists the same subcommands and
+    # options in the same order
+    usage = build_parser().format_usage()
+    assert usage[usage.index("{") + 1 : usage.index("}")].split(",") == list(GRAMMAR)
+    for command, (_, options) in GRAMMAR.items():
+        assert _help_options(capsys, command) == list(options), command
     # a seeded sweep over every subcommand's options: wherever the reader
     # returns a Namespace, argparse must return the same one
-    parser, commands = _subparsers()
+    parser = build_parser()
     rng = random.Random(20260418)
     accepted = declined = 0
     for _ in range(100):
-        for command, sp in commands.items():
-            actions = [a for a in sp._actions if a.option_strings and a.dest != "help"]
+        for command, (_, options) in GRAMMAR.items():
             groups = []
-            for action in actions:
-                if rng.random() < (0.9 if action.required else 0.5):
-                    groups += [_sweep_tokens(rng, action) for _ in range(rng.choice((1, 1, 1, 2)))]
+            for option, keywords in options.items():
+                if rng.random() < (0.9 if keywords.get("required") else 0.5):
+                    groups += [_sweep_tokens(rng, option, keywords) for _ in range(rng.choice((1, 1, 1, 2)))]
             if rng.random() < 0.1:
                 groups.append([rng.choice(STRAY_TOKENS)])
             rng.shuffle(groups)
@@ -355,12 +361,11 @@ PLAIN_ARGV = {
 
 
 def test_each_subcommand_has_a_plain_argv_the_reader_takes(capsys, monkeypatch):
-    parser, commands = _subparsers()
-    assert set(PLAIN_ARGV) == set(commands)
+    assert set(PLAIN_ARGV) == set(GRAMMAR)
     for command, rest in PLAIN_ARGV.items():
         argv = [command, *rest.split()]
         ns = _read_plain(argv)
-        assert ns is not None and ns == parser.parse_args(argv), argv
+        assert ns is not None and ns == build_parser().parse_args(argv), argv
 
     def refuse(*args, **kwargs):
         raise AssertionError("parse_args called on a plain argv")
@@ -368,6 +373,26 @@ def test_each_subcommand_has_a_plain_argv_the_reader_takes(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert run(["identity", *PLAIN_ARGV["identity"].split()]) == 0
     assert json.loads(capsys.readouterr().out)["results"][0]["verdict"] == "proved"
+
+
+def test_plain_argv_builds_no_parser():
+    # in a fresh process: every subcommand's plain argv (verify's aside: it
+    # runs the invariant suite) is read without building argparse, which is
+    # then built for the first error that needs its usage line
+    plain = [[command, *rest.split()] for command, rest in PLAIN_ARGV.items() if command != "verify"]
+    probe = (
+        "import contextlib, io\n"
+        "from howechar.cli import build_parser, run\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for argv in {plain!r}:\n"
+        "        run(argv)\n"
+        "print(build_parser.cache_info().currsize, flush=True)\n"
+        "run(['support', '--pair', 'oeven', '--n', '1', '--nu', '1'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage: howechar [-h]") and "needs --m" in out.stderr, out.stderr
 
 
 def test_inputs_outside_the_plain_grammar_stay_with_argparse(capsys):
