@@ -4,7 +4,6 @@ them under the four compact dual pairs."""
 
 from .errors import (
     CapExceeded,
-    ChamberMismatch,
     FormulaInconsistency,
     HowecharError,
     NonConvergentDirection,
@@ -29,7 +28,6 @@ from .howe import (
     z_weyl,
 )
 from .laurent import (
-    LaurentSeries,
     dominant_chamber,
     expand_inverse_root_factor,
     partial_fraction_sum,

@@ -21,10 +21,6 @@ class PoleAtPoint(HowecharError):
     """Exact evaluation hit a vanishing denominator."""
 
 
-class ChamberMismatch(HowecharError):
-    """Two series with different ranks or chamber directions were combined."""
-
-
 class NotInCorrespondence(HowecharError):
     """A weight fails the admissibility constraints of the chosen dual pair."""
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -30,8 +31,8 @@ from .howe import (
     validate_weight,
     z_weyl,
 )
-from .laurent import LaurentSeries, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
-from .rootsys import Root, Weight, act, format_weight, inverse, perm_sign, sign, weight_dot
+from .laurent import Doubled, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
+from .rootsys import Root, Weight, act, format_weight, inverse, perm_sign, sign
 from .torus import SINGULAR_GUARD, as_point, guarded_denominator, root_rows
 
 
@@ -77,12 +78,8 @@ class ThetaCharacter:
 
     @cached_property
     def numerator(self) -> Mapping[tuple[int, ...], int]:
-        """orbit_table expanded over W(K'), read-only: doubled exponent 2e ->
-        int coefficient."""
-        out: dict[tuple[int, ...], int] = {}
-        for v, c in self.orbit_table.items():
-            out.update(_alternating_orbit_terms(self.pair, v, c))
-        return MappingProxyType(out)
+        """numerator_terms(self), read-only."""
+        return MappingProxyType(numerator_terms(self))
 
     @cached_property
     def _float_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +211,7 @@ IDENTITY_RANDOM_POINTS = 20  # rational points per random-rational identity chec
 
 @dataclass(frozen=True)
 class IdentityVerdict:
-    status: str  # 'holds', 'proved' or 'not-in-asserted-range'
+    status: str  # 'holds', 'proved', 'failed' or 'not-in-asserted-range'
     detail: str
 
 
@@ -334,10 +331,14 @@ def _z_orbit(pair: DualPairSpec, m: int) -> tuple[tuple[int, tuple[int, ...]], .
     return tuple((sign(sz), act(sz, rz)) for sz in z_weyl(pair, m))
 
 
-def numerator_terms(tc: ThetaCharacter) -> dict[Weight, Fraction]:
-    """Exponent -> coefficient of the numerator polynomial: the Fraction
-    view of ThetaCharacter.numerator, in its order."""
-    return {tuple(Fraction(x, 2) for x in e): Fraction(c) for e, c in tc.numerator.items()}
+def numerator_terms(tc: ThetaCharacter) -> Doubled:
+    """The numerator polynomial, orbit_table expanded over W(K'): doubled
+    exponent 2e -> int coefficient.  The W(K') orbits of distinct
+    block-sorted regular v are disjoint, so no two orbits share a term."""
+    out: Doubled = {}
+    for v, c in tc.orbit_table.items():
+        out.update(_alternating_orbit_terms(tc.pair, v, c))
+    return out
 
 
 def _alternating_orbit_terms(pair: DualPairSpec, v: tuple, coeff) -> dict:
@@ -349,27 +350,28 @@ def _alternating_orbit_terms(pair: DualPairSpec, v: tuple, coeff) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def character_series(tc: ThetaCharacter, exact_to: Fraction) -> LaurentSeries:
-    """P / Delta_+ expanded along the dominant chamber.
+def character_series(tc: ThetaCharacter, floor: int) -> Doubled:
+    """P / Delta_+ expanded along the dominant chamber: doubled exponent 2e
+    -> int coefficient.
 
     This equals Delta_0(h) * Theta(h) up to the instance's constant; its
     alternating W(K')-orbits are the K-type characters times Delta_0.  The
-    series is truncated at chamber pairing exact_to, and every coefficient
-    it keeps is exact (see divide_by_root_factors).
+    series is cut at the doubled level floor, and every coefficient it keeps
+    is exact (see divide_by_root_factors).
     """
-    pair = tc.pair
-    N = pair.rank_gprime
     raw = tc.numerator
     if not raw:
         raise FormulaInconsistency("empty numerator polynomial")
-    return divide_by_root_factors(N, dominant_chamber(N), -Fraction(exact_to), raw, noncompact_positive_roots(pair))
+    return divide_by_root_factors(raw, noncompact_positive_roots(tc.pair), floor)
 
 
-def series_top_pairing(tc: ThetaCharacter) -> Fraction:
-    """Chamber pairing of the leading term of the character series."""
+def series_top(tc: ThetaCharacter) -> int:
+    """Doubled level of the leading term of the character series.  A
+    block-decreasing v tops its own W(K') orbit along the dominant chamber,
+    so the numerator's top term is in the orbit table."""
     chamber = dominant_chamber(tc.pair.rank_gprime)
     lead = sum(_level(b, chamber) for b in noncompact_positive_roots(tc.pair))
-    return Fraction(max(_level(e, chamber) for e in tc.numerator) - lead, 2)
+    return max(_level(v, chamber) for v in tc.orbit_table) - lead
 
 
 def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -402,24 +404,24 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     """
     pair = tc.pair
     chamber = dominant_chamber(pair.rank_gprime)
-    S = character_series(tc, series_top_pairing(tc) - depth)
+    S = character_series(tc, series_top(tc) - 2 * depth)
     dominant: list[tuple[int, tuple[int, ...]]] = []
-    for e, c in S.doubled.items():
+    for e, c in S.items():
         d = _level(e, chamber)
         v, sgn_tau = _block_sorted(pair, e)
         if v == e:
             dominant.append((d, e))
-        elif sgn_tau * S.doubled.get(v, 0) != c:
+        elif sgn_tau * S.get(v, 0) != c:
             raise FormulaInconsistency(f"doubled term {e} breaks the W(K') alternation of {v}")
     if not dominant:
         raise FormulaInconsistency("no K-types found above the requested depth")
     dominant.sort(reverse=True)
-    rho0 = compact_rho(pair)
-    C = S.doubled[dominant[0][1]]
+    rho0 = _ints(compact_rho(pair))
+    C = S[dominant[0][1]]
     result: dict[Weight, int] = {}
     for _, v in dominant:
-        mult = Fraction(S.doubled[v], C)
-        gamma = tuple(Fraction(x, 2) - y for x, y in zip(v, rho0))
+        mult = Fraction(S[v], C)
+        gamma = tuple(Fraction(x - r, 2) for x, r in zip(v, rho0))
         if mult.denominator != 1 or mult < 0:
             raise FormulaInconsistency(f"multiplicity {mult} for K-type {format_weight(gamma)}")
         result[gamma] = int(mult)
@@ -443,18 +445,19 @@ def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
     for start, stop in pair.kprime_blocks:
         if any(lam[i] < lam[i + 1] for i in range(start, stop - 1)):
             raise ValueError(f"{format_weight(lam)} is not dominant for K'")
-    rho0 = compact_rho(pair)
-    v = tuple(a + b for a, b in zip(lam, rho0))
+    rho0 = _ints(compact_rho(pair))
+    v = tuple(2 * a + r for a, r in zip(lam, rho0))  # 2(lam + rho_0), not integral if lam has a denominator above 2
     chamber = dominant_chamber(pair.rank_gprime)
-    level = weight_dot(v, chamber)
-    S = character_series(tc, level)
-    for e in S.doubled:
-        if _level(e, chamber) > 2 * level and all(
+    level = _level(v, chamber)
+    S = character_series(tc, math.ceil(level))
+    cut = math.floor(level)
+    for e in S:
+        if _level(e, chamber) > cut and all(
             e[i] > e[i + 1] for start, stop in pair.kprime_blocks for i in range(start, stop - 1)
         ):
-            above = tuple(Fraction(x, 2) - y for x, y in zip(e, rho0))
+            above = tuple(Fraction(x - r, 2) for x, r in zip(e, rho0))
             raise NotMinimalKType(f"{format_weight(lam)} lies below the K-type {format_weight(above)}; not the minimal K-type")
-    c = S.coefficient(v)
+    c = S.get(tuple(map(int, v)), 0) if all(x.denominator == 1 for x in v) else 0
     if c == 0:
         raise NotMinimalKType(f"{format_weight(lam)} pairs to zero; not the minimal K-type")
-    return 1 / c
+    return Fraction(1, c)

@@ -38,3 +38,25 @@ def test_a_traced_round_runs_both_oracle_methods():
     record = json.loads(proc.stdout.splitlines()[-1])
     assert [op["rc"] for op in record["ops"]] == [0, 0], [op["err"] for op in record["ops"]]
     assert record["layers"]["orbits.orbit_integral_oracle.samples_per_s"] > 0
+
+
+def test_a_traced_ktypes_op_reaches_the_laurent_layers():
+    # the engine calls series, expand_inverse_root_factor and series_mul
+    # through laurent's module globals, and ThetaCharacter.numerator compiles
+    # through numerator_terms once per instance, so the tracer sees them all
+    ops = [["ktypes", "--pair", "uu", "--n", "1", "--p", "2", "--q", "1", "--nu", "1/2", "--truncation", "6"]]
+    proc = subprocess.run(
+        [sys.executable, str(LAYERS_PY.parent / "bench_round.py"), "--trace"],
+        input=json.dumps(ops),
+        capture_output=True,
+        text=True,
+        cwd=LAYERS_PY.parents[1],
+        timeout=60,
+    )
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert [op["rc"] for op in record["ops"]] == [0], [op["err"] for op in record["ops"]]
+    layers = record["layers"]
+    assert layers["laurent.series_mul.calls"] > 0
+    assert layers["laurent.series.self_s"] > 0
+    assert layers["laurent.expand_inverse_root_factor.self_s"] > 0
+    assert layers["thetachar.numerator_terms.calls"] == 1

@@ -8,7 +8,7 @@ SRC = pathlib.Path(howechar.__file__).parent
 LAYERS_PY = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 
 # definitions the library never calls that stay as references the tests compare against
-TEST_REFERENCES = ("root_factor_series",)
+TEST_REFERENCES = ()
 
 
 def _names(node: ast.AST) -> set[str]:
