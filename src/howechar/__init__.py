@@ -28,8 +28,8 @@ from .howe import (
     z_weyl,
 )
 from .laurent import (
-    dominant_chamber,
     expand_inverse_root_factor,
+    level,
     partial_fraction_sum,
     series,
     series_mul,

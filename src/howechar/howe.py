@@ -75,14 +75,6 @@ class DualPairSpec:
         return ((0, self.m),)
 
     @property
-    def central_shift(self) -> Fraction:
-        if self.kind is PairKind.UU:
-            return Fraction(self.q - self.p, 2)
-        if self.kind is PairKind.OODD_SP:
-            return Fraction(-(2 * self.n + 1), 2)
-        return Fraction(-self.n)
-
-    @property
     def half_shift(self) -> Fraction:
         """The shift s with a_k = mu'_k - s and b_k = -mu'_k - s."""
         if self.kind is PairKind.UU:
@@ -159,7 +151,7 @@ def validate_weight(pair: DualPairSpec, nu: Sequence) -> CorrespondenceData:
     if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
         raise NotInCorrespondence(f"{format_weight(nu)} is not weakly decreasing")
     if pair.kind is PairKind.UU:
-        ints = [v - pair.central_shift for v in nu]
+        ints = [v - Fraction(pair.q - pair.p, 2) for v in nu]
         if any(v.denominator != 1 for v in ints):
             raise NotInCorrespondence(f"entries of {format_weight(nu)} must lie in (q-p)/2 + Z")
         n_pos = sum(1 for v in ints if v > 0)

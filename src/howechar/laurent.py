@@ -2,11 +2,11 @@
 
 A series is a sum of integer multiples of monomials h^e whose exponents
 have denominators 1 or 2.  It is held as a dict that maps the int tuple 2e
-(the doubled exponent) to its int coefficient.  The dominant chamber
-d = (N, ..., 1) orders the exponents by the int doubled level <2e, d>; a
-series cut at a floor keeps the terms whose doubled level is at least that
-floor.  Inverse root factors 1/(h^{b/2} - h^{-b/2}) expand as geometric
-series toward -infinity along d.
+(the doubled exponent) to its int coefficient.  `level` orders the
+exponents by the int doubled level <2e, d> along the fixed dominant chamber
+d = (N, ..., 1); a series cut at a floor keeps the terms whose doubled level
+is at least that floor.  Inverse root factors 1/(h^{b/2} - h^{-b/2}) expand
+as geometric series toward -infinity along d.
 
 `divide_by_root_factors` is exact at every level it keeps, and so is
 `series_mul` when no term of its inputs was dropped, as for finite sums
@@ -24,14 +24,14 @@ from typing import Mapping, Sequence
 from .errors import NonConvergentDirection, PoleAtPoint
 from .rootsys import format_weight
 
-Chamber = tuple[int, ...]
 # doubled exponent 2e -> int coefficient
 Doubled = dict[tuple[int, ...], int]
 
 
-def dominant_chamber(rank: int) -> Chamber:
-    """The strictly dominant direction (rank, rank-1, ..., 1)."""
-    return tuple(range(rank, 0, -1))
+def level(e: Sequence) -> int:
+    """The doubled level <2e, d> of the doubled exponent 2e along the
+    dominant chamber d = (N, ..., 1)."""
+    return sum(map(mul, e, range(len(e), 0, -1)))
 
 
 def _ints(values: Sequence, scale: int = 2) -> tuple[int, ...]:
@@ -44,16 +44,9 @@ def _ints(values: Sequence, scale: int = 2) -> tuple[int, ...]:
     return tuple(x.numerator for x in out)
 
 
-def _level(e: tuple[int, ...], chamber: Chamber) -> int:
-    return sum(map(mul, e, chamber))
-
-
 def series(doubled: Mapping[tuple[int, ...], int], floor: int) -> Doubled:
     """The nonzero terms of doubled whose doubled level is >= floor."""
-    if not doubled:
-        return {}
-    chamber = dominant_chamber(len(next(iter(doubled))))
-    return {e: c for e, c in doubled.items() if c and _level(e, chamber) >= floor}
+    return {e: c for e, c in doubled.items() if c and level(e) >= floor}
 
 
 def series_mul(a: Doubled, b: Doubled, floor: int) -> Doubled:
@@ -63,12 +56,11 @@ def series_mul(a: Doubled, b: Doubled, floor: int) -> Doubled:
     rank, rank_b = len(next(iter(a))), len(next(iter(b)))
     if rank != rank_b:
         raise ValueError(f"cannot multiply series of rank {rank} and {rank_b}")
-    chamber = dominant_chamber(rank)
-    b_desc = sorted(((_level(e, chamber), e, c) for e, c in b.items()), key=itemgetter(0), reverse=True)
+    b_desc = sorted(((level(e), e, c) for e, c in b.items()), key=itemgetter(0), reverse=True)
     out: Doubled = {}
     get = out.get
     for e1, c1 in a.items():
-        room = floor - _level(e1, chamber)
+        room = floor - level(e1)
         for l2, e2, c2 in b_desc:
             if l2 < room:
                 break
@@ -88,36 +80,41 @@ def expand_inverse_root_factor(beta: Sequence[int], floor: int) -> Doubled:
     """
     if not all(type(x) is int for x in beta):
         beta = _ints(beta, 1)
-    chamber = dominant_chamber(len(beta))
-    pair = _level(beta, chamber)
+    pair = level(beta)
     if pair == 0:
-        raise NonConvergentDirection(f"root {beta} pairs to zero with chamber {chamber}")
+        raise NonConvergentDirection(f"root {beta} pairs to zero with chamber {tuple(range(len(beta), 0, -1))}")
     sgn = 1 if pair > 0 else -1
     e = tuple(-sgn * x for x in beta)  # 2 * (-sgn beta / 2)
     step = tuple(2 * x for x in e)
     terms: Doubled = {}
-    level = -abs(pair)
-    while level >= floor:
+    rung = -abs(pair)
+    while rung >= floor:
         terms[e] = sgn
         e = tuple(map(add, e, step))
-        level -= 2 * abs(pair)
+        rung -= 2 * abs(pair)
     return terms
 
 
 def divide_by_root_factors(doubled: Mapping[tuple[int, ...], int], roots: Sequence[Sequence[int]], floor: int) -> Doubled:
     """doubled / prod over roots of (h^{b/2} - h^{-b/2}), cut at floor.
 
-    Every coefficient kept is exact.  Each factor term only lowers the
-    level, so a running-product term below the floor never contributes above
-    it; and each geometric factor is expanded down to the floor minus the
-    top level of the running product, so no pair landing at or above the
-    floor is missed, even when the numerator sits above level 0.
+    Every coefficient kept is exact.  The factor of beta lowers every level
+    by at least its drop |level(beta)|, so only a term at or above the floor
+    plus the drops of the factors still to come can reach the floor: the
+    numerator and each running product are cut there, the last at the floor
+    itself.  No running product rises above the cut numerator's top level
+    minus the drops so far, so each geometric factor is expanded down to the
+    next cut minus that bound, and no pair landing at or above the cut is
+    missed, even when the numerator sits above level 0.
     """
-    acc = series(doubled, floor)
-    for beta in roots:
-        chamber = dominant_chamber(len(beta))
-        top = max((_level(e, chamber) for e in acc), default=0)
-        acc = series_mul(acc, expand_inverse_root_factor(beta, floor - top), floor)
+    drops = [abs(level(beta)) for beta in roots]
+    rest = sum(drops)
+    acc = series(doubled, floor + rest)
+    top = max(map(level, acc), default=0)
+    for beta, drop in zip(roots, drops):
+        rest -= drop
+        acc = series_mul(acc, expand_inverse_root_factor(beta, floor + rest - top), floor + rest)
+        top -= drop
     return acc
 
 

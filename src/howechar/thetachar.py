@@ -31,7 +31,7 @@ from .howe import (
     validate_weight,
     z_weyl,
 )
-from .laurent import Doubled, _ints, _level, divide_by_root_factors, dominant_chamber, partial_fraction_sum
+from .laurent import Doubled, _ints, divide_by_root_factors, level, partial_fraction_sum
 from .rootsys import Root, Weight, act, format_weight, inverse, perm_sign, sign
 from .torus import SINGULAR_GUARD, as_point, guarded_denominator, root_rows
 
@@ -369,9 +369,8 @@ def series_top(tc: ThetaCharacter) -> int:
     """Doubled level of the leading term of the character series.  A
     block-decreasing v tops its own W(K') orbit along the dominant chamber,
     so the numerator's top term is in the orbit table."""
-    chamber = dominant_chamber(tc.pair.rank_gprime)
-    lead = sum(_level(b, chamber) for b in noncompact_positive_roots(tc.pair))
-    return max(_level(v, chamber) for v in tc.orbit_table) - lead
+    lead = sum(map(level, noncompact_positive_roots(tc.pair)))
+    return max(map(level, tc.orbit_table)) - lead
 
 
 def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -392,36 +391,45 @@ def _block_sorted(pair: DualPairSpec, e: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(v), perm_sign(perm)
 
 
+def _ktype_terms(tc: ThetaCharacter, floor: int) -> list[tuple[int, Weight, int]]:
+    """(level, gamma, c) for each block-decreasing term 2(gamma + rho_0) of
+    the character series cut at floor, highest first.
+
+    The series is W(K')-alternating, so each K-type orbit is read off its
+    dominant member; every other term must be sign(tau) times the
+    coefficient of its block-sorted member, which lies higher and so above
+    the cut too.  A term that breaks the alternation raises
+    FormulaInconsistency.
+    """
+    pair = tc.pair
+    S = character_series(tc, floor)
+    rho0 = _ints(compact_rho(pair))
+    terms = []
+    for e, c in S.items():
+        v, sgn_tau = _block_sorted(pair, e)
+        if v == e:
+            terms.append((level(e), tuple(Fraction(x - r, 2) for x, r in zip(e, rho0)), c))
+        elif sgn_tau * S.get(v, 0) != c:
+            raise FormulaInconsistency(f"doubled term {e} breaks the W(K') alternation of {v}")
+    terms.sort(reverse=True)
+    return terms
+
+
 def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
     """Multiplicities of the K'-types appearing down to the chamber depth.
 
-    The series is W(K')-alternating, so each orbit is read off its dominant
-    (block-decreasing) member, whose coefficient is C * m(gamma) at
-    gamma + rho_0; every other term must be sign(tau) times the coefficient
-    of its block-sorted member.  Multiplicities are normalized so the first
+    The coefficient of the series term at gamma + rho_0 is C * m(gamma)
+    (see _ktype_terms).  Multiplicities are normalized so the first
     (minimal) K-type has multiplicity 1.  A term that breaks the alternation
     and a non-integral or negative multiplicity raise FormulaInconsistency.
     """
-    pair = tc.pair
-    chamber = dominant_chamber(pair.rank_gprime)
-    S = character_series(tc, series_top(tc) - 2 * depth)
-    dominant: list[tuple[int, tuple[int, ...]]] = []
-    for e, c in S.items():
-        d = _level(e, chamber)
-        v, sgn_tau = _block_sorted(pair, e)
-        if v == e:
-            dominant.append((d, e))
-        elif sgn_tau * S.get(v, 0) != c:
-            raise FormulaInconsistency(f"doubled term {e} breaks the W(K') alternation of {v}")
-    if not dominant:
+    terms = _ktype_terms(tc, series_top(tc) - 2 * depth)
+    if not terms:
         raise FormulaInconsistency("no K-types found above the requested depth")
-    dominant.sort(reverse=True)
-    rho0 = _ints(compact_rho(pair))
-    C = S[dominant[0][1]]
+    C = terms[0][2]
     result: dict[Weight, int] = {}
-    for _, v in dominant:
-        mult = Fraction(S[v], C)
-        gamma = tuple(Fraction(x - r, 2) for x, r in zip(v, rho0))
+    for _, gamma, c in terms:
+        mult = Fraction(c, C)
         if mult.denominator != 1 or mult < 0:
             raise FormulaInconsistency(f"multiplicity {mult} for K-type {format_weight(gamma)}")
         result[gamma] = int(mult)
@@ -431,12 +439,12 @@ def ktype_expansion(tc: ThetaCharacter, depth: int = 20) -> dict[Weight, int]:
 def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
     """C with C * theta_eval-normalization carrying the minimal K-type once.
 
-    The character series is W(K')-alternating, so the minimal K-type's
-    orbit is read off its dominant member: C is the inverse of the series
-    coefficient at lam_min + rho_0, read exactly from one series truncated
-    at that level.  lam_min must be the minimal K-type: a zero coefficient
-    there, or a nonzero block-decreasing term strictly above its level (a
-    higher K-type), raises NotMinimalKType.
+    C is the inverse of the series coefficient at lam_min + rho_0, which
+    carries the minimal K-type's whole alternating orbit; it is read exactly
+    from the K-type terms of one series cut at that level (see
+    _ktype_terms).  lam_min must be the minimal K-type: a higher K-type in
+    the series, or a zero coefficient at lam_min + rho_0, raises
+    NotMinimalKType.
     """
     pair = tc.pair
     lam = tuple(Fraction(v) for v in lam_min)
@@ -445,19 +453,12 @@ def normalizing_constant(tc: ThetaCharacter, lam_min: Sequence) -> Fraction:
     for start, stop in pair.kprime_blocks:
         if any(lam[i] < lam[i + 1] for i in range(start, stop - 1)):
             raise ValueError(f"{format_weight(lam)} is not dominant for K'")
-    rho0 = _ints(compact_rho(pair))
-    v = tuple(2 * a + r for a, r in zip(lam, rho0))  # 2(lam + rho_0), not integral if lam has a denominator above 2
-    chamber = dominant_chamber(pair.rank_gprime)
-    level = _level(v, chamber)
-    S = character_series(tc, math.ceil(level))
-    cut = math.floor(level)
-    for e in S:
-        if _level(e, chamber) > cut and all(
-            e[i] > e[i + 1] for start, stop in pair.kprime_blocks for i in range(start, stop - 1)
-        ):
-            above = tuple(Fraction(x - r, 2) for x, r in zip(e, rho0))
-            raise NotMinimalKType(f"{format_weight(lam)} lies below the K-type {format_weight(above)}; not the minimal K-type")
-    c = S.get(tuple(map(int, v)), 0) if all(x.denominator == 1 for x in v) else 0
+    # the level of 2(lam + rho_0), not an int if lam has a denominator above 2
+    lam_level = level(tuple(2 * (a + r) for a, r in zip(lam, compact_rho(pair))))
+    terms = _ktype_terms(tc, math.ceil(lam_level))
+    if terms and terms[0][0] > lam_level:
+        raise NotMinimalKType(f"{format_weight(lam)} lies below the K-type {format_weight(terms[0][1])}; not the minimal K-type")
+    c = next((c for _, gamma, c in terms if gamma == lam), 0)
     if c == 0:
         raise NotMinimalKType(f"{format_weight(lam)} pairs to zero; not the minimal K-type")
     return Fraction(1, c)

@@ -6,19 +6,14 @@ import pytest
 from howechar.errors import NonConvergentDirection, PoleAtPoint
 from howechar.laurent import (
     _ints,
-    dominant_chamber,
     expand_inverse_root_factor,
+    level,
     partial_fraction_sum,
     series,
     series_mul,
 )
 
 F = Fraction
-
-
-def level(e):
-    """Doubled level of a doubled exponent along the dominant chamber."""
-    return sum(x * d for x, d in zip(e, range(len(e), 0, -1)))
 
 
 def test_ring_operation_examples():
@@ -91,8 +86,10 @@ def test_partial_fraction_sum_examples():
         partial_fraction_sum([F(2), F(2)], 0, [0])
 
 
-def test_dominant_chamber():
-    assert dominant_chamber(4) == (4, 3, 2, 1)
+def test_level():
+    # <(2, -1, 0, 3), (4, 3, 2, 1)> = 8 - 3 + 0 + 3
+    assert level((2, -1, 0, 3)) == 8
+    assert level((1,)) == 1 and level(()) == 0
 
 
 def test_a_cut_keeps_its_floor_level():

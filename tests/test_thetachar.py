@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -353,7 +354,8 @@ def test_normalizing_constant_truncation_guard():
     deep = weight("-1/2", "-29/2", "25/2")
     kt = ktype_expansion(tc, depth=14)
     assert list(kt)[-1] == deep and kt[deep] == 1
-    with pytest.raises(NotMinimalKType, match="lies below the K-type"):
+    # the error names the highest K-type above deep
+    with pytest.raises(NotMinimalKType, match=re.escape("lies below the K-type (-1/2, -1/2, -3/2)")):
         normalizing_constant(tc, deep)
 
 
@@ -473,8 +475,7 @@ def test_ktype_expansion_rejects_a_broken_alternation(monkeypatch):
 def test_character_series_times_noncompact_factors_recovers_numerator():
     # S * Delta_+ must reproduce the numerator polynomial exactly above the
     # floor's horizon, for every pair kind
-    from howechar.laurent import dominant_chamber, series_mul
-    from howechar.rootsys import weight_dot
+    from howechar.laurent import level, series_mul
     from howechar.thetachar import noncompact_positive_roots
 
     def root_factor_series(beta):
@@ -489,16 +490,15 @@ def test_character_series_times_noncompact_factors_recovers_numerator():
         tc = theta_character(pair, nu)
         floor = -40
         S = character_series(tc, floor)
-        cham = dominant_chamber(pair.rank_gprime)
         back = S
         for beta in noncompact_positive_roots(pair):
             back = series_mul(back, root_factor_series(beta), floor)
         P = numerator_terms(tc)
-        horizon = floor + sum(abs(weight_dot(b, cham)) for b in noncompact_positive_roots(pair))
+        horizon = floor + sum(abs(level(b)) for b in noncompact_positive_roots(pair))
         for e, c in P.items():
             assert back.get(e, 0) == c
         for e, c in back.items():
-            if weight_dot(e, cham) >= horizon + 4:
+            if level(e) >= horizon + 4:
                 assert P.get(e, 0) == c, (pair.kind, e, c)
 
 
@@ -539,8 +539,10 @@ def _divide_by_root_factor(S, beta, chamber, floor):
         ("oodd-sp", 2, dict(m=2), [2, 1]),
         ("uh-ostar", 2, dict(m=3), [1, 1]),
         ("uu", 2, dict(p=3, q=2), [F(1, 2), F(1, 2)]),
+        ("uh-ostar", 3, dict(m=4), [2, 1, 1]),
+        ("oodd-sp", 3, dict(m=3), [1, 1, 1]),
     ],
-    ids=["uu(2;2,2)", "oeven-sp(1;2)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(2;3,2)"],
+    ids=["uu(2;2,2)", "oeven-sp(1;2)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(2;3,2)", "uh-ostar(3;4)", "oodd-sp(3;3)"],
 )
 def test_character_series_matches_a_recurrence_oracle(kind, n, kw, nu):
     # the oracle shares no code with the Laurent engine: it divides the
@@ -568,18 +570,18 @@ def test_character_series_matches_a_recurrence_oracle(kind, n, kw, nu):
         ("oodd-sp", 2, dict(m=2), [2, 1]),
         ("uh-ostar", 2, dict(m=3), [1, 1]),
         ("uu", 1, dict(p=1, q=1), [-3]),
+        ("oeven-sp", 3, dict(m=5), [1, 0, 0]),
     ],
-    ids=["uu(2;3,2)", "oeven-sp(2;3)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(1;1,1)"],
+    ids=["uu(2;3,2)", "oeven-sp(2;3)", "oodd-sp(2;2)", "uh-ostar(2;3)", "uu(1;1,1)", "oeven-sp(3;5)"],
 )
 def test_division_is_exact_at_every_level_it_keeps(kind, n, kw, nu):
     # a deeper division agrees with a shallower one on every level the
     # shallower keeps; uu(1;1,1) nu=-3 has the numerator {(6, 0): 1} above
     # level 0, where a factor cut at the floor alone loses the lowest rungs
-    from howechar.laurent import _level, divide_by_root_factors
+    from howechar.laurent import divide_by_root_factors, level
     from howechar.thetachar import noncompact_positive_roots, series_top
 
     tc = theta_character(dual_pair(kind, n, **kw), nu)
-    chamber = tuple(range(tc.pair.rank_gprime, 0, -1))
     betas = noncompact_positive_roots(tc.pair)
     floor = series_top(tc) - 40  # a doubled level
 
@@ -587,12 +589,33 @@ def test_division_is_exact_at_every_level_it_keeps(kind, n, kw, nu):
         return divide_by_root_factors(tc.numerator, betas, lowest)
 
     shallow = divide(floor)
-    deep = {e: c for e, c in divide(floor - 20).items() if _level(e, chamber) >= floor}
+    deep = {e: c for e, c in divide(floor - 20).items() if level(e) >= floor}
     assert shallow == deep
     if kind == "uu" and n == 1:
         assert tc.numerator == {(6, 0): 1}
         # the 21 rungs h^{(5/2-k, 1/2+k)} at doubled levels 11 - 2k >= 11 - 40
         assert shallow == {(5 - 2 * k, 1 + 2 * k): 1 for k in range(21)}
+
+
+def test_running_products_stay_near_the_series_they_build(monkeypatch):
+    # each running product is cut at the floor plus the drops of the root
+    # factors still to come, so none grows far past the final series
+    from howechar import laurent
+    from howechar.thetachar import noncompact_positive_roots, series_top
+
+    sizes = []
+    original = laurent.series_mul
+
+    def counted(a, b, floor):
+        out = original(a, b, floor)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(laurent, "series_mul", counted)
+    tc = theta_character(dual_pair("oeven-sp", 3, m=5), [1, 0, 0])
+    S = character_series(tc, series_top(tc) - 12)
+    assert len(S) >= 50 and len(sizes) == len(noncompact_positive_roots(tc.pair))
+    assert max(sizes) <= 2 * len(S), (max(sizes), len(S))
 
 
 @pytest.mark.parametrize(
